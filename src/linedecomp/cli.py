@@ -63,6 +63,7 @@ from .oracle import (
     graph_from_edge_list,
     materialize,
     pathwidth_exact,
+    vertex_text,
     witness_family,
 )
 from .prime import SubstitutionPlan, factor, is_prime
@@ -296,12 +297,8 @@ def emit_plan(plan: SubstitutionPlan) -> str:
 # Plain-text spellings used in reports
 
 
-def _vertex_text(v: VertexId) -> str:
-    return v.tag if v.index is None else f"{v.tag}:{v.index}"
-
-
 def _bag_text(b: Bag) -> str:
-    return " ".join(_vertex_text(v) for v in sorted(b)) if b else "(empty)"
+    return " ".join(vertex_text(v) for v in sorted(b)) if b else "(empty)"
 
 
 def _point_text(p: Point) -> str:
@@ -346,7 +343,7 @@ def render_dot(d: Decomposition, window: int) -> str:
         out.append(f"    label={_dot_quote(f'bag {i}')};")
         out.append(f"    anchor{i} [shape=point, style=invis];")
         for v in sorted(b):
-            out.append(f"    {ids[i][v]} [label={_dot_quote(_vertex_text(v))}];")
+            out.append(f"    {ids[i][v]} [label={_dot_quote(vertex_text(v))}];")
         for u, w in itertools.combinations(sorted(b), 2):
             e = frozenset((u, w))
             if e in graph.edges and e not in drawn:
@@ -388,12 +385,12 @@ def _print_violation(rep) -> None:
     if not rep.betweenness_ok:
         v, r, s, t = rep.counterexample
         print(
-            f"betweenness violated: {_vertex_text(v)} occurs at {_point_text(r)} "
+            f"betweenness violated: {vertex_text(v)} occurs at {_point_text(r)} "
             f"and {_point_text(t)} but not at {_point_text(s)}"
         )
     elif not rep.boundary_ok:
         (v,) = rep.counterexample
-        print(f"boundary violated: designated vertex {_vertex_text(v)} is not a limit vertex")
+        print(f"boundary violated: designated vertex {vertex_text(v)} is not a limit vertex")
     else:
         print("coverage violated")
 

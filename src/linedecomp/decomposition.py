@@ -697,13 +697,9 @@ def remove_from_bags(d: Decomposition, s: Bag) -> Optional[Decomposition]:
         keep = [r for r in range(t.period) if res[r] | const]
         if not keep:
             continue
-        if len(keep) == t.period:
-            segs.append(seg)
-            temps.append(PeriodicBags(t.period, res, t.stride, const))
-        else:
-            segs.append(seg)
-            temps.append(_select_residues(
-                PeriodicBags(t.period, res, t.stride, const), keep, seg.kind))
+        segs.append(seg)
+        temps.append(_select_residues(
+            PeriodicBags(t.period, res, t.stride, const), keep))
     if not segs:
         return None
     z1 = d.z1 - s
@@ -711,7 +707,7 @@ def remove_from_bags(d: Decomposition, s: Bag) -> Optional[Decomposition]:
     return Decomposition(Line(tuple(segs)), tuple(temps), z1, z2)
 
 
-def _select_residues(t: PeriodicBags, keep: list[int], kind: SegmentKind) -> PeriodicBags:
+def _select_residues(t: PeriodicBags, keep: list[int]) -> PeriodicBags:
     """Restrict a periodic template to a sub-pattern of residues, renumbering
     offsets so the kept positions become consecutive.  The origin stays at
     block 0, so for two-sided segments the pattern lines up on both sides."""
@@ -773,9 +769,7 @@ def restrict(d: Decomposition, c: Cut, region: Region) -> Decomposition:
                 segs.append(Segment(SegmentKind.OMEGA_STAR))
                 temps.append(_rephase(t, i + 1))
         return Decomposition(Line(tuple(segs)), tuple(temps), d.z1, s)
-    if c.position is CutPosition.AFTER_SEGMENT:
-        pass
-    else:
+    if c.position is not CutPosition.AFTER_SEGMENT:
         i = c.offset
         t = d.templates[j]
         if seg.kind is SegmentKind.FIN:
@@ -1067,7 +1061,7 @@ def _assemble(d: Decomposition, zones: list[_Zone]) -> Decomposition:
             if len(keep) == p:
                 pieces.append(("seg", seg, t))
             else:
-                pieces.append(("seg", seg, _select_residues(t, sorted(keep), seg.kind)))
+                pieces.append(("seg", seg, _select_residues(t, sorted(keep))))
             continue
         if z.tail_down:
             kept_desc = []

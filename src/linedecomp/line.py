@@ -139,17 +139,6 @@ def compare_points(line: Line, a: Point, b: Point) -> Ordering:
     return Ordering.LT if ka < kb else Ordering.GT
 
 
-def first_point(line: Line) -> Optional[Point]:
-    lo = line.segments[0].min_offset
-    return None if lo is None else Point(0, lo)
-
-
-def last_point(line: Line) -> Optional[Point]:
-    j = len(line.segments) - 1
-    hi = line.segments[j].max_offset
-    return None if hi is None else Point(j, hi)
-
-
 # ---------------------------------------------------------------------------
 # Cuts
 

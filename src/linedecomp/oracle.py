@@ -62,7 +62,8 @@ def graph_from_bags(bags: Iterable[Bag]) -> FiniteGraph:
     return FiniteGraph(frozenset(vs), frozenset(es))
 
 
-def _vertex_text(v: VertexId) -> str:
+def vertex_text(v: VertexId) -> str:
+    """tag, or tag:index for a mobile vertex; graph_from_edge_list reads it back."""
     return v.tag if v.index is None else f"{v.tag}:{v.index}"
 
 
@@ -80,9 +81,9 @@ def graph_to_edge_list(g: FiniteGraph) -> str:
     for e in sorted(g.edges, key=lambda e: tuple(sorted(e))):
         u, w = sorted(e)
         touched |= {u, w}
-        lines.append(f"{_vertex_text(u)} {_vertex_text(w)}")
+        lines.append(f"{vertex_text(u)} {vertex_text(w)}")
     for v in sorted(g.vertices - touched):
-        lines.append(_vertex_text(v))
+        lines.append(vertex_text(v))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

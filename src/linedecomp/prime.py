@@ -51,14 +51,8 @@ from linedecomp.decomposition import (
     tidy,
     verify,
 )
-from linedecomp.splits import (
-    _build_context,
-    _classify_deep,
-    _interior_reaches,
-    empty_split_cuts,
-    repeated_splits,
-)
-from linedecomp.wo import _raw_concat, universe_overlap, vertex_universe
+from linedecomp.splits import analyze_splits, empty_split_cuts, repeated_splits
+from linedecomp.wo import raw_concat, universe_overlap, vertex_universe
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +134,16 @@ def _families_collide(a: _Family, b: _Family) -> bool:
 
 
 def _is_prime_periodic(d: Decomposition) -> bool:
-    ctx = _build_context(d)
-    cuts: dict[Cut, Bag] = dict(zip(ctx.window_cuts, ctx.window_splits))
+    sa = analyze_splits(d)
+    cuts: dict[Cut, Bag] = dict(zip(sa.window_cuts, sa.window_splits))
     if any(not s for s in cuts.values()):
         return False  # an empty split: the graph is disconnected
     reaches = []
-    if ctx.low is not None:
-        reaches.append((ctx.low[0], -1, ctx.low[2]))
-    if ctx.high is not None:
-        reaches.append((ctx.high[0], +1, ctx.high[2]))
-    for j, direction, base in _interior_reaches(ctx):
-        reaches.append((j, direction, _classify_deep(d, j, direction, base)))
+    if sa.low is not None:
+        reaches.append((sa.low[0], -1, sa.low[2]))
+    if sa.high is not None:
+        reaches.append((sa.high[0], +1, sa.high[2]))
+    reaches.extend(sa.interior_classes())
     families = []
     for j, direction, classes in reaches:
         t = d.templates[j]
@@ -353,7 +346,7 @@ def concat_components(parts: Sequence[Decomposition]) -> Decomposition:
         shared = universe_overlap(vertex_universe(out), vertex_universe(p))
         if shared is None or shared:
             raise ValueError("components must not share vertices")
-        out = _raw_concat(out, p, frozenset())
+        out = raw_concat(out, p, frozenset())
     return out
 
 

@@ -15,7 +15,7 @@ checked on several consecutive blocks before being extrapolated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from linedecomp.line import (
     Cut,
@@ -172,79 +172,6 @@ class _Tail:
     entries: tuple[_DeepClass, ...]  # size-m marching classes, window-side first
 
 
-@dataclass
-class _Context:
-    d: Decomposition
-    budget: int
-    window_cuts: list[Cut]
-    window_splits: list[Bag]
-    low: Optional[tuple[int, int, list[_DeepClass]]]  # (segment, base, classes)
-    high: Optional[tuple[int, int, list[_DeepClass]]]
-
-
-def _build_context(d: Decomposition) -> _Context:
-    line = d.line
-    budget = split_budget(d)
-    cuts = enumerate_cuts(line, budget)
-    n = len(line.segments)
-    low = high = None
-    first, last = line.segments[0], line.segments[-1]
-    if first.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA):
-        base = -budget - 1 if first.kind is SegmentKind.OMEGA_STAR else -budget
-        low = (0, base, _classify_deep(d, 0, -1, base))
-    if last.kind in (SegmentKind.OMEGA, SegmentKind.ZETA):
-        high = (n - 1, budget, _classify_deep(d, n - 1, +1, budget))
-
-    def in_deep(c: Cut) -> bool:
-        if c.position is not CutPosition.AFTER_OFFSET:
-            return False
-        if low and c.segment == low[0] and c.offset <= low[1]:
-            return True
-        if high and c.segment == high[0] and c.offset >= high[1]:
-            return True
-        return False
-
-    window_cuts = [c for c in cuts if not in_deep(c)]
-    window_splits = [boundary_split(d, c) for c in window_cuts]
-    return _Context(d, budget, window_cuts, window_splits, low, high)
-
-
-def _interior_reaches(ctx: _Context) -> list[tuple[int, int, int]]:
-    """(segment, direction, base offset) for every infinite reach that does
-    not run off an end of the line."""
-    line = ctx.d.line
-    n = len(line.segments)
-    out = []
-    for j, seg in enumerate(line.segments):
-        if seg.kind is SegmentKind.OMEGA and j < n - 1:
-            out.append((j, +1, ctx.budget))
-        if seg.kind is SegmentKind.OMEGA_STAR and j > 0:
-            out.append((j, -1, -ctx.budget - 1))
-        if seg.kind is SegmentKind.ZETA:
-            if j > 0:
-                out.append((j, -1, -ctx.budget))
-            if j < n - 1:
-                out.append((j, +1, ctx.budget))
-    return out
-
-
-def _interior_deep_guard(ctx: _Context, m: int, catalogue: set[Bag]) -> None:
-    """Interior infinite reaches may only repeat window splits at size m."""
-    d = ctx.d
-    for j, direction, base in _interior_reaches(ctx):
-        for cls in _classify_deep(d, j, direction, base):
-            if cls.size != m:
-                continue
-            if cls.kind == "marching":
-                raise UnsupportedScopeError(
-                    "minimum splits march in an interior segment; "
-                    "their order cannot be numbered by integers")
-            if cls.fixed not in catalogue:
-                raise UnsupportedScopeError(
-                    "an interior constant split family does not match "
-                    "any window split")
-
-
 @dataclass(frozen=True)
 class MinSplitIndexing:
     """The distinct minimum-size splits, numbered by an interval of the
@@ -293,87 +220,6 @@ class MinSplitIndexing:
         return Split(verts, (cut,))
 
 
-def _edge_tail(ctx: _Context, side: tuple[int, int, list[_DeepClass]],
-               m: int, catalogue: set[Bag], direction: int) -> Optional[_Tail]:
-    j, _, classes = side
-    marching = [c for c in classes if c.kind == "marching" and c.size == m]
-    constant = [c for c in classes if c.kind == "constant" and c.size == m]
-    if marching and constant:
-        raise UnsupportedScopeError(
-            "a constant and a marching family of minimum splits share one "
-            "end of the line; they are not comparable")
-    for c in constant:
-        if c.fixed not in catalogue:
-            raise UnsupportedScopeError(
-                "a constant split family at the line end does not match any "
-                "window split")
-    if not marching:
-        return None
-    t = ctx.d.templates[j]
-    step = t.stride * direction
-    seen: set[Bag] = set()
-    for blk in range(4):
-        for cls in marching:
-            s = cls.fixed | shift_set(cls.mobile, step * blk)
-            if s in seen:
-                raise UnsupportedScopeError(
-                    "two marching witness families generate a common split; "
-                    "the numbering would list one entry twice")
-            seen.add(s)
-    return _Tail(j, t.period, step, tuple(marching))
-
-
-def enumerate_min_splits(d: Decomposition) -> MinSplitIndexing:
-    ctx = _build_context(d)
-    if not ctx.window_cuts:
-        return MinSplitIndexing(None, None, None, (), None, None, "no cuts")
-    m = min(len(s) for s in ctx.window_splits)
-    if m == 0:
-        return MinSplitIndexing(0, None, None, (), None, None, "disconnected")
-
-    entries: list[tuple[Bag, list[Cut]]] = []
-    for c, s in zip(ctx.window_cuts, ctx.window_splits):
-        if len(s) != m:
-            continue
-        if entries and entries[-1][0] == s:
-            entries[-1][1].append(c)
-        else:
-            entries.append((s, [c]))
-    window = tuple(Split(s, tuple(cs)) for s, cs in entries)
-    catalogue = {s for s, _ in entries}
-
-    _interior_deep_guard(ctx, m, catalogue)
-    low_tail = _edge_tail(ctx, ctx.low, m, catalogue, -1) if ctx.low else None
-    high_tail = _edge_tail(ctx, ctx.high, m, catalogue, +1) if ctx.high else None
-
-    lo = None if low_tail else 0
-    hi = None if high_tail else len(window) - 1
-    return MinSplitIndexing(m, lo, hi, window, low_tail, high_tail)
-
-
-def empty_split_cuts(d: Decomposition) -> list[Cut]:
-    """All cuts with empty split, in line order.  These chop the graph into
-    its connected pieces.  Raises when they run into an infinite reach, since
-    the pieces can then not be listed one by one."""
-    ctx = _build_context(d)
-    for side in (ctx.low, ctx.high):
-        if side and any(cls.size == 0 for cls in side[2]):
-            raise UnsupportedScopeError(
-                "empty splits repeat forever toward an end of the line; "
-                "the connected pieces cannot be enumerated")
-    for j, direction, base in _interior_reaches(ctx):
-        if any(cls.size == 0
-               for cls in _classify_deep(d, j, direction, base)):
-            raise UnsupportedScopeError(
-                "empty splits repeat forever inside the line; the connected "
-                "pieces cannot be enumerated")
-    return [c for c, s in zip(ctx.window_cuts, ctx.window_splits) if not s]
-
-
-# ---------------------------------------------------------------------------
-# Witness-range dichotomy
-
-
 @dataclass(frozen=True)
 class SplitBounds:
     """Extremes of the witness family of a minimum split.
@@ -387,6 +233,234 @@ class SplitBounds:
     upper: Union[Cut, Side]
 
 
+# ---------------------------------------------------------------------------
+# The analysis of one decomposition
+
+_Reach = tuple[int, int, tuple[_DeepClass, ...]]  # (segment, base, classes)
+
+
+@dataclass(frozen=True)
+class SplitAnalysis:
+    """The split window of one decomposition and how its splits continue
+    past both ends of the line.  Build it with analyze_splits and ask it as
+    many questions as needed: the window is evaluated once.
+
+    The classes of the interior infinite reaches are not part of it.  Each
+    method that needs them classifies them as it goes, so a reach that is
+    out of scope is refused by the question that looks at it, not by the
+    construction.  m is the minimum split size, None when there are no cuts.
+    """
+
+    d: Decomposition
+    budget: int
+    window_cuts: tuple[Cut, ...]
+    window_splits: tuple[Bag, ...]
+    low: Optional[_Reach]
+    high: Optional[_Reach]
+    m: Optional[int]
+
+    def interior_classes(self) -> Iterator[tuple[int, int, list[_DeepClass]]]:
+        """(segment, direction, classes) for every infinite reach that does
+        not run off an end of the line, classified one reach at a time."""
+        n = len(self.d.line.segments)
+        b = self.budget
+        for j, seg in enumerate(self.d.line.segments):
+            reaches = []
+            if seg.kind is SegmentKind.OMEGA and j < n - 1:
+                reaches.append((+1, b))
+            if seg.kind is SegmentKind.OMEGA_STAR and j > 0:
+                reaches.append((-1, -b - 1))
+            if seg.kind is SegmentKind.ZETA:
+                if j > 0:
+                    reaches.append((-1, -b))
+                if j < n - 1:
+                    reaches.append((+1, b))
+            for direction, base in reaches:
+                yield j, direction, _classify_deep(self.d, j, direction, base)
+
+    def min_splits(self) -> MinSplitIndexing:
+        m = self.m
+        if m is None:
+            return MinSplitIndexing(None, None, None, (), None, None, "no cuts")
+        if m == 0:
+            return MinSplitIndexing(0, None, None, (), None, None, "disconnected")
+
+        entries: list[tuple[Bag, list[Cut]]] = []
+        for c, s in zip(self.window_cuts, self.window_splits):
+            if len(s) != m:
+                continue
+            if entries and entries[-1][0] == s:
+                entries[-1][1].append(c)
+            else:
+                entries.append((s, [c]))
+        window = tuple(Split(s, tuple(cs)) for s, cs in entries)
+        catalogue = {s for s, _ in entries}
+
+        self._interior_deep_guard(catalogue)
+        low_tail = self._edge_tail(self.low, catalogue, -1) if self.low else None
+        high_tail = self._edge_tail(self.high, catalogue, +1) if self.high else None
+
+        lo = None if low_tail else 0
+        hi = None if high_tail else len(window) - 1
+        return MinSplitIndexing(m, lo, hi, window, low_tail, high_tail)
+
+    def _interior_deep_guard(self, catalogue: set[Bag]) -> None:
+        """Interior infinite reaches may only repeat window splits at size m."""
+        for _, _, classes in self.interior_classes():
+            for cls in classes:
+                if cls.size != self.m:
+                    continue
+                if cls.kind == "marching":
+                    raise UnsupportedScopeError(
+                        "minimum splits march in an interior segment; "
+                        "their order cannot be numbered by integers")
+                if cls.fixed not in catalogue:
+                    raise UnsupportedScopeError(
+                        "an interior constant split family does not match "
+                        "any window split")
+
+    def _edge_tail(self, side: _Reach, catalogue: set[Bag],
+                   direction: int) -> Optional[_Tail]:
+        j, _, classes = side
+        m = self.m
+        marching = [c for c in classes if c.kind == "marching" and c.size == m]
+        constant = [c for c in classes if c.kind == "constant" and c.size == m]
+        if marching and constant:
+            raise UnsupportedScopeError(
+                "a constant and a marching family of minimum splits share one "
+                "end of the line; they are not comparable")
+        for c in constant:
+            if c.fixed not in catalogue:
+                raise UnsupportedScopeError(
+                    "a constant split family at the line end does not match any "
+                    "window split")
+        if not marching:
+            return None
+        t = self.d.templates[j]
+        step = t.stride * direction
+        seen: set[Bag] = set()
+        for blk in range(4):
+            for cls in marching:
+                s = cls.fixed | shift_set(cls.mobile, step * blk)
+                if s in seen:
+                    raise UnsupportedScopeError(
+                        "two marching witness families generate a common split; "
+                        "the numbering would list one entry twice")
+                seen.add(s)
+        return _Tail(j, t.period, step, tuple(marching))
+
+    def empty_cuts(self) -> list[Cut]:
+        """All cuts with empty split, in line order.  These chop the graph
+        into its connected pieces.  Raises when they run into an infinite
+        reach, since the pieces can then not be listed one by one."""
+        for side in (self.low, self.high):
+            if side and any(cls.size == 0 for cls in side[2]):
+                raise UnsupportedScopeError(
+                    "empty splits repeat forever toward an end of the line; "
+                    "the connected pieces cannot be enumerated")
+        for _, _, classes in self.interior_classes():
+            if any(cls.size == 0 for cls in classes):
+                raise UnsupportedScopeError(
+                    "empty splits repeat forever inside the line; the connected "
+                    "pieces cannot be enumerated")
+        return [c for c, s in zip(self.window_cuts, self.window_splits) if not s]
+
+    def bounds(self, s: Split) -> SplitBounds:
+        """The extreme witnesses of the minimum split s."""
+        d = self.d
+        if self.m is None:
+            raise ValueError("no cuts: nothing to bound")
+        if len(s.vertices) != self.m:
+            raise ValueError("split is not of minimum size")
+
+        wit = normalize_cut(d.line, s.witness_cuts[0])
+        for side, direction in ((self.low, -1), (self.high, +1)):
+            if side is None:
+                continue
+            j, base, classes = side
+            deep = (wit.segment == j and wit.position is CutPosition.AFTER_OFFSET
+                    and (wit.offset <= base if direction < 0 else wit.offset >= base))
+            if deep:
+                cls = classes[(direction * (wit.offset - base)) % len(classes)]
+                if cls.kind == "constant":
+                    continue  # merges with the window witnesses below
+                # a marching tail member: all its witnesses sit near this block
+                p = d.templates[j].period
+                local = _scan_local(d, s.vertices, j, wit.offset, 2 * p + 1)
+                if not local:
+                    raise ValueError("the given cut does not witness this split")
+                return SplitBounds(local[0], local[-1])
+
+        ws = [c for c, b in zip(self.window_cuts, self.window_splits)
+              if b == s.vertices]
+        if not ws:
+            raise ValueError("not witnessed anywhere within the window")
+
+        lower: Union[Cut, Side] = ws[0]
+        upper: Union[Cut, Side] = ws[-1]
+        if self.low is not None:
+            if any(c.kind == "constant" and c.fixed == s.vertices
+                   for c in self.low[2]):
+                if s.vertices != limit_vertices(d, Side.LEFT):
+                    raise UnsupportedScopeError(
+                        "witnesses descend forever but the split is not the "
+                        "left-limit set; the input cannot be a valid tidy "
+                        "decomposition")
+                lower = Side.LEFT
+        if self.high is not None:
+            if any(c.kind == "constant" and c.fixed == s.vertices
+                   for c in self.high[2]):
+                if s.vertices != limit_vertices(d, Side.RIGHT):
+                    raise UnsupportedScopeError(
+                        "witnesses ascend forever but the split is not the "
+                        "right-limit set; the input cannot be a valid tidy "
+                        "decomposition")
+                upper = Side.RIGHT
+        return SplitBounds(lower, upper)
+
+
+def analyze_splits(d: Decomposition) -> SplitAnalysis:
+    """Evaluate the split window of d and classify both line ends."""
+    line = d.line
+    budget = split_budget(d)
+    cuts = enumerate_cuts(line, budget)
+    n = len(line.segments)
+    low = high = None
+    first, last = line.segments[0], line.segments[-1]
+    if first.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA):
+        base = -budget - 1 if first.kind is SegmentKind.OMEGA_STAR else -budget
+        low = (0, base, tuple(_classify_deep(d, 0, -1, base)))
+    if last.kind in (SegmentKind.OMEGA, SegmentKind.ZETA):
+        high = (n - 1, budget, tuple(_classify_deep(d, n - 1, +1, budget)))
+
+    def in_deep(c: Cut) -> bool:
+        if c.position is not CutPosition.AFTER_OFFSET:
+            return False
+        if low and c.segment == low[0] and c.offset <= low[1]:
+            return True
+        if high and c.segment == high[0] and c.offset >= high[1]:
+            return True
+        return False
+
+    window_cuts = tuple(c for c in cuts if not in_deep(c))
+    window_splits = tuple(boundary_split(d, c) for c in window_cuts)
+    m = min(map(len, window_splits)) if window_splits else None
+    return SplitAnalysis(d, budget, window_cuts, window_splits, low, high, m)
+
+
+def enumerate_min_splits(d: Decomposition) -> MinSplitIndexing:
+    return analyze_splits(d).min_splits()
+
+
+def empty_split_cuts(d: Decomposition) -> list[Cut]:
+    """The cuts with empty split; see SplitAnalysis.empty_cuts."""
+    return analyze_splits(d).empty_cuts()
+
+
+def split_bounds(d: Decomposition, s: Split) -> SplitBounds:
+    return analyze_splits(d).bounds(s)
+
+
 def _scan_local(d: Decomposition, s: Bag, j: int, center: int,
                 radius: int) -> list[Cut]:
     out = []
@@ -395,60 +469,6 @@ def _scan_local(d: Decomposition, s: Bag, j: int, center: int,
         if boundary_split(d, c) == s:
             out.append(c)
     return out
-
-
-def split_bounds(d: Decomposition, s: Split) -> SplitBounds:
-    ctx = _build_context(d)
-    if not ctx.window_cuts:
-        raise ValueError("no cuts: nothing to bound")
-    m = min(len(b) for b in ctx.window_splits)
-    if len(s.vertices) != m:
-        raise ValueError("split is not of minimum size")
-
-    wit = normalize_cut(d.line, s.witness_cuts[0])
-    for side, direction in ((ctx.low, -1), (ctx.high, +1)):
-        if side is None:
-            continue
-        j, base, classes = side
-        deep = (wit.segment == j and wit.position is CutPosition.AFTER_OFFSET
-                and (wit.offset <= base if direction < 0 else wit.offset >= base))
-        if deep:
-            cls = classes[(direction * (wit.offset - base)) % len(classes)]
-            if cls.kind == "constant":
-                continue  # merges with the window witnesses below
-            # a marching tail member: all its witnesses sit near this block
-            p = d.templates[j].period
-            local = _scan_local(d, s.vertices, j, wit.offset, 2 * p + 1)
-            if not local:
-                raise ValueError("the given cut does not witness this split")
-            return SplitBounds(local[0], local[-1])
-
-    ws = [c for c, b in zip(ctx.window_cuts, ctx.window_splits)
-          if b == s.vertices]
-    if not ws:
-        raise ValueError("not witnessed anywhere within the window")
-
-    lower: Union[Cut, Side] = ws[0]
-    upper: Union[Cut, Side] = ws[-1]
-    if ctx.low is not None:
-        _, _, classes = ctx.low
-        if any(c.kind == "constant" and c.fixed == s.vertices for c in classes):
-            if s.vertices != limit_vertices(d, Side.LEFT):
-                raise UnsupportedScopeError(
-                    "witnesses descend forever but the split is not the "
-                    "left-limit set; the input cannot be a valid tidy "
-                    "decomposition")
-            lower = Side.LEFT
-    if ctx.high is not None:
-        _, _, classes = ctx.high
-        if any(c.kind == "constant" and c.fixed == s.vertices for c in classes):
-            if s.vertices != limit_vertices(d, Side.RIGHT):
-                raise UnsupportedScopeError(
-                    "witnesses ascend forever but the split is not the "
-                    "right-limit set; the input cannot be a valid tidy "
-                    "decomposition")
-            upper = Side.RIGHT
-    return SplitBounds(lower, upper)
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,8 @@ from linedecomp.decomposition import (
 from linedecomp.splits import (
     MinSplitIndexing,
     Split,
-    empty_split_cuts,
-    enumerate_min_splits,
-    split_bounds,
+    SplitAnalysis,
+    analyze_splits,
 )
 
 
@@ -197,7 +196,7 @@ def add_to_bags(d: Decomposition, s: Bag) -> Decomposition:
     return out
 
 
-def _raw_concat(d1: Decomposition, d2: Decomposition, s: Bag) -> Decomposition:
+def raw_concat(d1: Decomposition, d2: Decomposition, s: Bag) -> Decomposition:
     """Glue d2 above d1 along the interface s, without re-verifying."""
     if not s <= limit_vertices(d1, Side.RIGHT):
         raise ValueError("interface is not a right-limit set of the lower part")
@@ -235,7 +234,7 @@ def concat_wo(d1: Decomposition, d2: Decomposition, s: Bag) -> WoDecomposition:
         raise ValueError("the lower part is not on a well-order")
     if not is_well_order(d2.line):
         raise ValueError("the upper part is not on a well-order")
-    return as_wo(_raw_concat(d1, d2, frozenset(s)))
+    return as_wo(raw_concat(d1, d2, frozenset(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +256,7 @@ def to_wo(d: Decomposition) -> WoDecomposition:
         raise ValueError(f"does not verify: {rep.counterexample}")
     if is_well_order(d.line):
         return as_wo(d, check=False)
-    out = _rebuild(d)
-    if out.z1 != d.z1 or out.z2 != d.z2:
-        out = replace(out, z1=d.z1, z2=d.z2)
-    return as_wo(out)
+    return as_wo(_rebuild(d))
 
 
 def _rebuild(d: Decomposition) -> Decomposition:
@@ -279,7 +275,8 @@ def _rebuild_any(d: Decomposition) -> Decomposition:
     direct = _directly_orderable(td)
     if direct is not None:
         return direct
-    idx = enumerate_min_splits(td)
+    a = analyze_splits(td)
+    idx = a.min_splits()
     if idx.m is None:
         raise UnsupportedScopeError("a line without cuts that is not a "
                                     "well-order has no rebuild here")
@@ -288,10 +285,10 @@ def _rebuild_any(d: Decomposition) -> Decomposition:
             f"{len(td.z1)} left-limit vertices are designated but some "
             f"split has only {idx.m}; no rebuild keeps them all leftmost")
     if idx.m == 0:
-        return _rebuild_components(td)
+        return _rebuild_components(a)
     if idx.lo is None:
-        return _split_off_lower_part(td, idx)
-    return _assemble_along_splits(td, idx)
+        return _split_off_lower_part(a, idx)
+    return _assemble_along_splits(a, idx)
 
 
 def _directly_orderable(d: Decomposition) -> Optional[Decomposition]:
@@ -315,7 +312,7 @@ def _fold_chain(pieces: list[Decomposition]) -> Decomposition:
     is the split it was glued along."""
     out = pieces[0]
     for nxt in pieces[1:]:
-        out = _raw_concat(out, nxt, nxt.z1)
+        out = raw_concat(out, nxt, nxt.z1)
     return out
 
 
@@ -325,10 +322,11 @@ def _require_cut(x, what: str) -> Cut:
     raise ValueError(f"witnesses of {what} run off the line end unexpectedly")
 
 
-def _rebuild_components(d: Decomposition) -> Decomposition:
+def _rebuild_components(a: SplitAnalysis) -> Decomposition:
     """Empty splits chop the line into vertex-disjoint stretches; rebuild
     each and chain them with empty interfaces."""
-    cuts = empty_split_cuts(d)
+    d = a.d
+    cuts = a.empty_cuts()
     pieces = []
     prev: Optional[Cut] = None
     for c in cuts:
@@ -361,7 +359,7 @@ def _around_split(d: Decomposition, s: Bag, lower: Optional[Cut],
     return replace(piece, z1=s, z2=s)
 
 
-def _split_off_lower_part(d: Decomposition, idx: MinSplitIndexing) -> Decomposition:
+def _split_off_lower_part(a: SplitAnalysis, idx: MinSplitIndexing) -> Decomposition:
     """No earliest minimum split: cut at one that contains the designated
     left set and rebuild the lower part in reverse.
 
@@ -369,6 +367,7 @@ def _split_off_lower_part(d: Decomposition, idx: MinSplitIndexing) -> Decomposit
     minimum splits start at the chosen one, so the recursion proceeds by
     assembly instead of arriving back here.
     """
+    d = a.d
     candidates = [sp for sp in idx.window if d.z1 <= sp.vertices]
     if idx.low_tail is not None:
         for u in range(len(idx.low_tail.entries)):
@@ -380,14 +379,14 @@ def _split_off_lower_part(d: Decomposition, idx: MinSplitIndexing) -> Decomposit
                          "left-limit set")
 
     def preference(sp: Split) -> tuple:
-        c = split_bounds(d, sp).lower
+        c = a.bounds(sp).lower
         c = _require_cut(c, "a candidate split")
         origin = abs(c.offset) if c.position is CutPosition.AFTER_OFFSET else 0
         return (origin, cut_key(d.line, c), tuple(sorted(sp.vertices)))
 
     chosen = min(candidates, key=preference)
     s0 = chosen.vertices
-    c0 = _require_cut(split_bounds(d, chosen).lower, "the chosen split")
+    c0 = _require_cut(a.bounds(chosen).lower, "the chosen split")
 
     lower_part = restrict(d, c0, Region.INSIDE)
     if d.z1:
@@ -400,15 +399,16 @@ def _split_off_lower_part(d: Decomposition, idx: MinSplitIndexing) -> Decomposit
         rebuilt = _rebuild(reverse_decomposition(core))
         lower_wo = replace(_widen(rebuilt, s0), z1=s0, z2=s0)
     upper_wo = _rebuild(restrict(d, c0, Region.OUTSIDE))
-    return _raw_concat(lower_wo, upper_wo, s0)
+    return raw_concat(lower_wo, upper_wo, s0)
 
 
-def _assemble_along_splits(d: Decomposition, idx: MinSplitIndexing) -> Decomposition:
+def _assemble_along_splits(a: SplitAnalysis, idx: MinSplitIndexing) -> Decomposition:
     """The main case: an earliest minimum split exists.  Rebuild a piece
     around each split's witness range and a piece for each stretch between,
     then chain them in order."""
+    d = a.d
     wn = len(idx.window)
-    bounds = [split_bounds(d, sp) for sp in idx.window]
+    bounds = [a.bounds(sp) for sp in idx.window]
     for i, b in enumerate(bounds):
         if not isinstance(b.lower, Cut) and i != 0:
             raise ValueError("witnesses of a later minimum split run off "
@@ -446,17 +446,17 @@ def _assemble_along_splits(d: Decomposition, idx: MinSplitIndexing) -> Decomposi
     else:
         last_upper = _require_cut(bounds[-1].upper, "the last window split")
         first_tail = idx.split(wn)
-        tail_lower = _require_cut(split_bounds(d, first_tail).lower,
+        tail_lower = _require_cut(a.bounds(first_tail).lower,
                                   "the first marching split")
         if compare_cuts(d.line, last_upper, tail_lower) is not Ordering.LT:
             raise ValueError("witness ranges of successive minimum splits "
                              "overlap at the start of the marching tail")
         pieces.append(_rebuild(slice_between(d, last_upper, tail_lower)))
-        pieces.append(_replicated_tail(d, idx))
+        pieces.append(_replicated_tail(a, idx))
     return _fold_chain(pieces)
 
 
-def _replicated_tail(d: Decomposition, idx: MinSplitIndexing) -> Decomposition:
+def _replicated_tail(a: SplitAnalysis, idx: MinSplitIndexing) -> Decomposition:
     """Rebuilt pieces for the minimum splits marching off the upper end.
 
     One block later every piece repeats shifted by the template stride, so
@@ -465,6 +465,7 @@ def _replicated_tail(d: Decomposition, idx: MinSplitIndexing) -> Decomposition:
     and the designated right-limit set must sit inside every marching split
     or no well-ordered arrangement puts it at the top.
     """
+    d = a.d
     tail = idx.high_tail
     wn = len(idx.window)
     fixed_all = frozenset.intersection(*(e.fixed for e in tail.entries))
@@ -476,13 +477,13 @@ def _replicated_tail(d: Decomposition, idx: MinSplitIndexing) -> Decomposition:
     reps: list[Decomposition] = []
     for u in range(count):
         here = idx.split(wn + u)
-        b = split_bounds(d, here)
+        b = a.bounds(here)
         reps.append(_around_split(d, here.vertices,
                                   _require_cut(b.lower, "a marching split"),
                                   _require_cut(b.upper, "a marching split")))
         after = idx.split(wn + u + 1)
         gap_lo = _require_cut(b.upper, "a marching split")
-        gap_hi = _require_cut(split_bounds(d, after).lower,
+        gap_hi = _require_cut(a.bounds(after).lower,
                               "the next marching split")
         if compare_cuts(d.line, gap_lo, gap_hi) is not Ordering.LT:
             raise ValueError("witness ranges of successive marching splits "

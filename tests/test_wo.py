@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import pytest
 
+import linedecomp.splits
+import linedecomp.wo
 from linedecomp.line import (
     Line,
     OrdinalExpr,
@@ -34,7 +36,7 @@ from linedecomp.decomposition import (
     width,
 )
 from linedecomp.oracle import materialize, random_decomposition, witness_family
-from linedecomp.splits import split_at
+from linedecomp.splits import analyze_splits, enumerate_min_splits, split_at
 from linedecomp.wo import (
     Ray,
     WoDecomposition,
@@ -447,16 +449,25 @@ def _random_periodic(rng):
     return Decomposition(Line(tuple(segs)), tuple(temps), z1, frozenset())
 
 
-def test_to_wo_postconditions_hold_on_random_inputs():
+@pytest.fixture(scope="module")
+def random_corpus():
+    """The valid draws of _random_periodic (seed 5024, 420 draws) whose
+    line is not a well-order."""
     rng = random.Random(5024)
-    seen_converted = 0
+    out = []
     for _ in range(420):
         try:
             d = _random_periodic(rng)
         except ValueError:
             continue
-        if is_well_order(d.line) or not verify(d).ok:
-            continue
+        if not is_well_order(d.line) and verify(d).ok:
+            out.append(d)
+    return out
+
+
+def test_to_wo_postconditions_hold_on_random_inputs(random_corpus):
+    seen_converted = 0
+    for d in random_corpus:
         k = width(d)
         try:
             out = to_wo(d)
@@ -478,3 +489,41 @@ def test_to_wo_postconditions_hold_on_random_inputs():
         assert all(in_universe(u_out, v) for v in g_in.vertices)
         assert all(in_universe(u_in, v) for v in sorted(g_out.vertices)[::4])
     assert seen_converted > 90
+
+
+def _counting(calls, key, fn):
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_to_wo_builds_one_split_window_per_rebuild_node(monkeypatch, random_corpus):
+    calls = {"windows": 0, "nodes": 0}
+    monkeypatch.setattr(linedecomp.splits, "enumerate_cuts", _counting(
+        calls, "windows", linedecomp.splits.enumerate_cuts))
+    monkeypatch.setattr(linedecomp.wo, "tidy", _counting(
+        calls, "nodes", linedecomp.wo.tidy))
+    for d in [witness_family(k) for k in (1, 2, 3)] + random_corpus:
+        try:
+            to_wo(d)
+        except (UnsupportedScopeError, ValueError):
+            pass
+    # every rebuild node tidies its input once, then analyses its splits once
+    assert 0 < calls["windows"] <= calls["nodes"]
+
+
+def _outcome(f):
+    try:
+        return f()
+    except UnsupportedScopeError as e:
+        return str(e)
+
+
+def test_analysis_min_splits_match_enumerate_min_splits(random_corpus):
+    for d in random_corpus:
+        a = analyze_splits(d)
+        idx = _outcome(a.min_splits)
+        assert idx == _outcome(lambda: enumerate_min_splits(d))
+        _outcome(a.empty_cuts)
+        assert _outcome(a.min_splits) == idx  # asking again changes nothing
