@@ -146,7 +146,7 @@ class Region(enum.Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Decomposition:
     line: Line
     templates: tuple[BagTemplate, ...]
@@ -167,17 +167,6 @@ class Decomposition:
                     raise ValueError("infinite segments take periodic templates")
                 if any(not (r | t.constant) for r in t.residues):
                     raise ValueError("bags must be nonempty")
-
-    # equality is by content, so subclasses that only add invariants stay
-    # interchangeable with the plain class
-    def __eq__(self, other):
-        if not isinstance(other, Decomposition):
-            return NotImplemented
-        return (self.line, self.templates, self.z1, self.z2) == (
-            other.line, other.templates, other.z1, other.z2)
-
-    def __hash__(self):
-        return hash((self.line, self.templates, self.z1, self.z2))
 
 
 def bag_at(d: Decomposition, t: Point) -> Bag:
@@ -329,20 +318,22 @@ def _point_where_absent(d: Decomposition, j: int, v: VertexId) -> Point:
         return Point(j, missing)
     offs = desc[1]
     if seg.kind is SegmentKind.FIN:
-        free = [i for i in range(seg.length) if i not in set(offs)]
+        occupied = set(offs)
+        free = [i for i in range(seg.length) if i not in occupied]
         return Point(j, free[0])
     if seg.kind is SegmentKind.OMEGA_STAR:
         return Point(j, min(offs) - 1)
     return Point(j, max(offs) + 1)
 
 
-def _solve_shared(s1: int, m1: int, r1, s2: int, m2: int, r2, count: int = 6):
+def _solve_shared(s1: int, m1: int, r1, s2: int, m2: int, r2, count: int):
     """Common indices of the progressions {m1 + s1*b : b in r1} and
     {m2 + s2*b : b in r2}.  Ranges are (lo, hi) with None for unbounded.
     Returns ('empty',) or ('finite', [indices]) or ('infinite', [indices]);
     unbounded or oversized families are represented by `count` witnesses
     from each end, which is enough for violation detection because only
-    boundary-pinned members can ever satisfy betweenness."""
+    boundary-pinned members can ever satisfy betweenness.  The caller sizes
+    `count` from the mobile indices the tag has in both templates."""
     g = math.gcd(s1, s2)
     D = m2 - m1
     if D % g:
@@ -550,10 +541,7 @@ def _segment_interval_violation(d, j, v, desc, need_final, need_initial):
             t = _next_occurrence_point(d, j, v)
             return (v, Point(j, offs[-1]), Point(j, offs[-1] + 1), t)
     if need_initial:
-        if seg.min_offset is None:
-            r = _prev_occurrence_point(d, j, v)
-            return (v, r, Point(j, offs[0] - 1), Point(j, offs[0]))
-        if offs[0] != seg.min_offset:
+        if seg.min_offset is None or offs[0] != seg.min_offset:
             r = _prev_occurrence_point(d, j, v)
             return (v, r, Point(j, offs[0] - 1), Point(j, offs[0]))
     return None

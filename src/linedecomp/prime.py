@@ -52,7 +52,7 @@ from linedecomp.decomposition import (
     verify,
 )
 from linedecomp.splits import analyze_splits, empty_split_cuts, repeated_splits
-from linedecomp.wo import raw_concat, universe_overlap, vertex_universe
+from linedecomp.wo import raw_concat
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +343,6 @@ def concat_components(parts: Sequence[Decomposition]) -> Decomposition:
                 "only the last part may designate right-limit vertices")
     out = parts[0]
     for p in parts[1:]:
-        shared = universe_overlap(vertex_universe(out), vertex_universe(p))
-        if shared is None or shared:
-            raise ValueError("components must not share vertices")
         out = raw_concat(out, p, frozenset())
     return out
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from linedecomp.line import (
     Cut,
@@ -44,7 +45,7 @@ from linedecomp.decomposition import (
     Region,
     Side,
     VertexId,
-    add_to_bags as _widen,
+    add_to_bags,
     limit_vertices,
     remove_from_bags,
     restrict,
@@ -55,8 +56,8 @@ from linedecomp.decomposition import (
 )
 from linedecomp.splits import (
     MinSplitIndexing,
-    Split,
     SplitAnalysis,
+    SplitBounds,
     analyze_splits,
 )
 
@@ -160,40 +161,7 @@ def universe_overlap(u1: Universe, u2: Universe) -> Optional[frozenset[VertexId]
 
 
 # ---------------------------------------------------------------------------
-# The well-ordered subtype
-
-
-@dataclass(frozen=True, eq=False)
-class WoDecomposition(Decomposition):
-    """A decomposition whose line is a well-order.
-
-    Carries no extra data; equality and hashing compare content with plain
-    decompositions.  Construct through as_wo so the invariant actually holds.
-    """
-
-
-def as_wo(d: Decomposition, *, check: bool = True) -> WoDecomposition:
-    """Tag a decomposition as well-ordered, optionally re-verifying it."""
-    if not is_well_order(d.line):
-        raise ValueError("the line is not a well-order")
-    if check:
-        rep = verify(d)
-        if not rep.ok:
-            raise ValueError(f"does not verify: {rep.counterexample}")
-    if isinstance(d, WoDecomposition):
-        return d
-    return WoDecomposition(d.line, d.templates, d.z1, d.z2)
-
-
-def add_to_bags(d: Decomposition, s: Bag) -> Decomposition:
-    """Union s into every bag and both designated sets.
-
-    Well-orderedness is preserved, so tagged inputs give tagged outputs.
-    """
-    out = _widen(d, s)
-    if isinstance(d, WoDecomposition):
-        return as_wo(out, check=False)
-    return out
+# Concatenation
 
 
 def raw_concat(d1: Decomposition, d2: Decomposition, s: Bag) -> Decomposition:
@@ -223,40 +191,58 @@ def raw_concat(d1: Decomposition, d2: Decomposition, s: Bag) -> Decomposition:
     return Decomposition(Line(segs), ts, d1.z1, d2.z2)
 
 
-def concat_wo(d1: Decomposition, d2: Decomposition, s: Bag) -> WoDecomposition:
+def concat_wo(d1: Decomposition, d2: Decomposition, s: Bag) -> Decomposition:
     """Concatenate two well-ordered decompositions along the interface s.
 
     s must be a right-limit set of d1 and a left-limit set of d2, and the two
     vertex universes must intersect in exactly s.  The result lives on the
-    ordinal sum of the two lines and its width is the larger of the two.
+    ordinal sum of the two lines, is verified, and its width is the larger
+    of the two.
     """
     if not is_well_order(d1.line):
         raise ValueError("the lower part is not on a well-order")
     if not is_well_order(d2.line):
         raise ValueError("the upper part is not on a well-order")
-    return as_wo(raw_concat(d1, d2, frozenset(s)))
+    return _verified(raw_concat(d1, d2, frozenset(s)))
+
+
+def _verified(d: Decomposition) -> Decomposition:
+    rep = verify(d)
+    if not rep.ok:
+        raise ValueError(f"does not verify: {rep.counterexample}")
+    return d
 
 
 # ---------------------------------------------------------------------------
 # Rebuilding on a well-order
+#
+# Each rebuild node reads a plan off the split analysis of its input: the
+# pieces of the new line in order, each a call that rebuilds one stretch and
+# holds only the decomposition, cuts and split vertex sets.  The analysis is
+# released before the pieces run, so a nested node never keeps its parent's
+# split window alive.
+
+_Piece = Callable[[], Decomposition]
 
 
-def to_wo(d: Decomposition) -> WoDecomposition:
+def to_wo(d: Decomposition) -> Decomposition:
     """Rebuild d on a well-ordered line.
 
-    The output covers the same clique-completed graph, keeps the designated
-    limit sets, and has width at most 2k - |z1| where k is the input width.
-    Already well-ordered inputs come back unchanged.  Raises ValueError when
-    the input does not verify or when more left-limit vertices are designated
-    than the minimum split size allows, and UnsupportedScopeError when a
-    rebuilt piece has no presentation in this form.
+    The output is verified, covers the same clique-completed graph, keeps
+    the designated limit sets, and has width at most 2k - |z1| where k is
+    the input width.  An already well-ordered input is returned itself.
+    Raises ValueError when the input does not verify or when more left-limit
+    vertices are designated than the minimum split size allows, and
+    UnsupportedScopeError when a rebuilt piece has no presentation in this
+    form.
     """
-    rep = verify(d)
-    if not rep.ok:
-        raise ValueError(f"does not verify: {rep.counterexample}")
+    _verified(d)
     if is_well_order(d.line):
-        return as_wo(d, check=False)
-    return as_wo(_rebuild(d))
+        return d
+    out = _rebuild(d)
+    if not is_well_order(out.line):
+        raise ValueError("the rebuilt line is not a well-order")
+    return _verified(out)
 
 
 def _rebuild(d: Decomposition) -> Decomposition:
@@ -275,14 +261,19 @@ def _rebuild_any(d: Decomposition) -> Decomposition:
     direct = _directly_orderable(td)
     if direct is not None:
         return direct
-    a = analyze_splits(td)
+    plan = _plan(analyze_splits(td))
+    return _fold_chain([piece() for piece in plan])
+
+
+def _plan(a: SplitAnalysis) -> list[_Piece]:
+    """The pieces of the rebuild of a.d, in line order."""
     idx = a.min_splits()
     if idx.m is None:
         raise UnsupportedScopeError("a line without cuts that is not a "
                                     "well-order has no rebuild here")
-    if len(td.z1) > idx.m:
+    if len(a.d.z1) > idx.m:
         raise ValueError(
-            f"{len(td.z1)} left-limit vertices are designated but some "
+            f"{len(a.d.z1)} left-limit vertices are designated but some "
             f"split has only {idx.m}; no rebuild keeps them all leftmost")
     if idx.m == 0:
         return _rebuild_components(a)
@@ -322,29 +313,29 @@ def _require_cut(x, what: str) -> Cut:
     raise ValueError(f"witnesses of {what} run off the line end unexpectedly")
 
 
-def _rebuild_components(a: SplitAnalysis) -> Decomposition:
-    """Empty splits chop the line into vertex-disjoint stretches; rebuild
-    each and chain them with empty interfaces."""
-    d = a.d
-    cuts = a.empty_cuts()
-    pieces = []
-    prev: Optional[Cut] = None
-    for c in cuts:
-        pieces.append(_rebuild(slice_between(d, prev, c)))
-        prev = c
-    pieces.append(_rebuild(slice_between(d, prev, None)))
-    return _fold_chain(pieces)
+def _rebuild_slice(d: Decomposition, lo: Optional[Cut],
+                   hi: Optional[Cut]) -> Decomposition:
+    return _rebuild(slice_between(d, lo, hi))
 
 
-def _around_split(d: Decomposition, s: Bag, lower: Optional[Cut],
-                  upper: Optional[Cut]) -> Decomposition:
+def _rebuild_components(a: SplitAnalysis) -> list[_Piece]:
+    """Empty splits chop the line into vertex-disjoint stretches: one piece
+    each, chained with empty interfaces."""
+    bounds = [None, *a.empty_cuts(), None]
+    return [partial(_rebuild_slice, a.d, lo, hi)
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _around_split(d: Decomposition, s: Bag, b: SplitBounds) -> Decomposition:
     """Rebuild the stretch between the extreme witnesses of a minimum split.
 
     s sits in every bag there, so removing it narrows the slice by its size;
     adding it back to the rebuilt remainder gives a piece running from s to
-    s.  A missing lower (upper) cut means the witnesses run off that end of
+    s.  A bound that is not a cut means the witnesses run off that end of
     the line, in which case the slice absorbs everything below (above).
     """
+    lower = b.lower if isinstance(b.lower, Cut) else None
+    upper = b.upper if isinstance(b.upper, Cut) else None
     if lower is not None and upper is not None \
             and compare_cuts(d.line, lower, upper) is Ordering.EQ:
         return _single_bag(s)
@@ -355,11 +346,11 @@ def _around_split(d: Decomposition, s: Bag, lower: Optional[Cut],
     core = remove_from_bags(sl, s)
     if core is None:
         return _single_bag(s)
-    piece = _widen(_rebuild(core), s)
+    piece = add_to_bags(_rebuild(core), s)
     return replace(piece, z1=s, z2=s)
 
 
-def _split_off_lower_part(a: SplitAnalysis, idx: MinSplitIndexing) -> Decomposition:
+def _split_off_lower_part(a: SplitAnalysis, idx: MinSplitIndexing) -> list[_Piece]:
     """No earliest minimum split: cut at one that contains the designated
     left set and rebuild the lower part in reverse.
 
@@ -378,92 +369,76 @@ def _split_off_lower_part(a: SplitAnalysis, idx: MinSplitIndexing) -> Decomposit
         raise ValueError("no minimum split contains the designated "
                          "left-limit set")
 
-    def preference(sp: Split) -> tuple:
-        c = a.bounds(sp).lower
-        c = _require_cut(c, "a candidate split")
+    ranked = []
+    for sp in candidates:
+        c = _require_cut(a.bounds(sp).lower, "a candidate split")
         origin = abs(c.offset) if c.position is CutPosition.AFTER_OFFSET else 0
-        return (origin, cut_key(d.line, c), tuple(sorted(sp.vertices)))
+        ranked.append(((origin, cut_key(d.line, c), tuple(sorted(sp.vertices))),
+                       c, sp.vertices))
+    _, c0, s0 = min(ranked, key=lambda r: r[0])
+    return [partial(_reversed_lower_part, d, c0, s0),
+            partial(_rebuild_slice, d, c0, None)]
 
-    chosen = min(candidates, key=preference)
-    s0 = chosen.vertices
-    c0 = _require_cut(a.bounds(chosen).lower, "the chosen split")
 
+def _reversed_lower_part(d: Decomposition, c0: Cut, s0: Bag) -> Decomposition:
+    """The part of d up to c0, rebuilt in reverse and running from s0 to s0."""
     lower_part = restrict(d, c0, Region.INSIDE)
-    if d.z1:
-        core = remove_from_bags(lower_part, d.z1)
-    else:
-        core = lower_part
+    core = remove_from_bags(lower_part, d.z1)
     if core is None:
-        lower_wo = _single_bag(s0)
-    else:
-        rebuilt = _rebuild(reverse_decomposition(core))
-        lower_wo = replace(_widen(rebuilt, s0), z1=s0, z2=s0)
-    upper_wo = _rebuild(restrict(d, c0, Region.OUTSIDE))
-    return raw_concat(lower_wo, upper_wo, s0)
+        return _single_bag(s0)
+    rebuilt = _rebuild(reverse_decomposition(core))
+    return replace(add_to_bags(rebuilt, s0), z1=s0, z2=s0)
 
 
-def _assemble_along_splits(a: SplitAnalysis, idx: MinSplitIndexing) -> Decomposition:
-    """The main case: an earliest minimum split exists.  Rebuild a piece
-    around each split's witness range and a piece for each stretch between,
-    then chain them in order."""
+def _pieces_along(d: Decomposition,
+                  marks: list[tuple[Bag, SplitBounds]]) -> list[_Piece]:
+    """For each minimum split of marks but the last, in order: the piece
+    around it and the piece for the gap up to the next one."""
+    pieces: list[_Piece] = []
+    for (s, b), (_, nb) in zip(marks, marks[1:]):
+        gap_lo = _require_cut(b.upper, "an earlier minimum split")
+        gap_hi = _require_cut(nb.lower, "a later minimum split")
+        if compare_cuts(d.line, gap_lo, gap_hi) is not Ordering.LT:
+            raise ValueError("witness ranges of successive minimum splits "
+                             "overlap")
+        pieces += [partial(_around_split, d, s, b),
+                   partial(_rebuild_slice, d, gap_lo, gap_hi)]
+    return pieces
+
+
+def _assemble_along_splits(a: SplitAnalysis, idx: MinSplitIndexing) -> list[_Piece]:
+    """The main case: an earliest minimum split exists.  A piece around each
+    split's witness range and a piece for each stretch between, in order."""
     d = a.d
-    wn = len(idx.window)
-    bounds = [a.bounds(sp) for sp in idx.window]
-    for i, b in enumerate(bounds):
-        if not isinstance(b.lower, Cut) and i != 0:
-            raise ValueError("witnesses of a later minimum split run off "
-                             "the low end of the line")
-        if not isinstance(b.upper, Cut) and (i != wn - 1 or idx.hi is None):
-            raise ValueError("witnesses of an earlier minimum split run off "
-                             "the high end of the line")
-
-    pieces: list[Decomposition] = []
-    first_lower = bounds[0].lower
+    marks = [(sp.vertices, a.bounds(sp)) for sp in idx.window]
+    pieces: list[_Piece] = []
+    first_lower = marks[0][1].lower
     if isinstance(first_lower, Cut):
         # below the first witness all splits are strictly larger
-        pieces.append(_rebuild(slice_between(d, None, first_lower)))
-    elif not d.z1 <= idx.window[0].vertices:
+        pieces.append(partial(_rebuild_slice, d, None, first_lower))
+    elif not d.z1 <= marks[0][0]:
         raise ValueError("designated left-limit vertices escape the first "
                          "minimum split; no rebuild keeps them leftmost")
 
-    for i in range(wn):
-        b = bounds[i]
-        lower = b.lower if isinstance(b.lower, Cut) else None
-        upper = b.upper if isinstance(b.upper, Cut) else None
-        pieces.append(_around_split(d, idx.window[i].vertices, lower, upper))
-        if i + 1 < wn:
-            gap_lo = _require_cut(b.upper, "a minimum split")
-            gap_hi = _require_cut(bounds[i + 1].lower, "the next minimum split")
-            if compare_cuts(d.line, gap_lo, gap_hi) is not Ordering.LT:
-                raise ValueError("witness ranges of successive minimum "
-                                 "splits overlap")
-            pieces.append(_rebuild(slice_between(d, gap_lo, gap_hi)))
-
     if idx.hi is not None:
-        last_upper = bounds[-1].upper
-        if isinstance(last_upper, Cut):
-            pieces.append(_rebuild(slice_between(d, last_upper, None)))
-    else:
-        last_upper = _require_cut(bounds[-1].upper, "the last window split")
-        first_tail = idx.split(wn)
-        tail_lower = _require_cut(a.bounds(first_tail).lower,
-                                  "the first marching split")
-        if compare_cuts(d.line, last_upper, tail_lower) is not Ordering.LT:
-            raise ValueError("witness ranges of successive minimum splits "
-                             "overlap at the start of the marching tail")
-        pieces.append(_rebuild(slice_between(d, last_upper, tail_lower)))
-        pieces.append(_replicated_tail(a, idx))
-    return _fold_chain(pieces)
+        s, last = marks[-1]
+        pieces += _pieces_along(d, marks)
+        pieces.append(partial(_around_split, d, s, last))
+        if isinstance(last.upper, Cut):
+            pieces.append(partial(_rebuild_slice, d, last.upper, None))
+        return pieces
+    return pieces + _replicated_tail(a, idx, marks)
 
 
-def _replicated_tail(a: SplitAnalysis, idx: MinSplitIndexing) -> Decomposition:
-    """Rebuilt pieces for the minimum splits marching off the upper end.
+def _replicated_tail(a: SplitAnalysis, idx: MinSplitIndexing,
+                     marks: list[tuple[Bag, SplitBounds]]) -> list[_Piece]:
+    """The pieces of the window marks, then one piece for the minimum splits
+    marching off the upper end.
 
     One block later every piece repeats shifted by the template stride, so
     rebuilding a single block and replicating it along a fresh omega segment
-    covers the whole tail.  The segment constant is what refuses to shift,
-    and the designated right-limit set must sit inside every marching split
-    or no well-ordered arrangement puts it at the top.
+    covers the whole tail.  The designated right-limit set must sit inside
+    every marching split or no well-ordered arrangement puts it at the top.
     """
     d = a.d
     tail = idx.high_tail
@@ -472,29 +447,23 @@ def _replicated_tail(a: SplitAnalysis, idx: MinSplitIndexing) -> Decomposition:
     if not d.z2 <= fixed_all:
         raise ValueError("designated right-limit vertices escape the "
                          "marching minimum splits")
-
     count = len(tail.entries)
-    reps: list[Decomposition] = []
-    for u in range(count):
-        here = idx.split(wn + u)
-        b = a.bounds(here)
-        reps.append(_around_split(d, here.vertices,
-                                  _require_cut(b.lower, "a marching split"),
-                                  _require_cut(b.upper, "a marching split")))
-        after = idx.split(wn + u + 1)
-        gap_lo = _require_cut(b.upper, "a marching split")
-        gap_hi = _require_cut(a.bounds(after).lower,
-                              "the next marching split")
-        if compare_cuts(d.line, gap_lo, gap_hi) is not Ordering.LT:
-            raise ValueError("witness ranges of successive marching splits "
-                             "overlap")
-        reps.append(_rebuild(slice_between(d, gap_lo, gap_hi)))
+    marching = [idx.split(wn + u) for u in range(count + 1)]
+    marks = marks + [(sp.vertices, a.bounds(sp)) for sp in marching]
+    steps = _pieces_along(d, marks)
+    return steps[:2 * wn] + [partial(_replicate, d, steps[2 * wn:], tail.segment,
+                                     tail.step, marching[0].vertices)]
 
+
+def _replicate(d: Decomposition, block: list[_Piece], segment: int, step: int,
+               first: Bag) -> Decomposition:
+    """Rebuild one block of the marching tail and lay it along an omega
+    segment.  The segment constant is what refuses to shift."""
     invariant = frozenset(
-        v for v in d.templates[tail.segment].constant if v.is_mobile)
+        v for v in d.templates[segment].constant if v.is_mobile)
     bags: list[Bag] = []
-    for piece in reps:
-        for seg, t in zip(piece.line.segments, piece.templates):
+    for rebuilt in [piece() for piece in block]:
+        for seg, t in zip(rebuilt.line.segments, rebuilt.templates):
             if seg.kind is not SegmentKind.FIN:
                 raise UnsupportedScopeError(
                     "a block of the marching tail did not rebuild to "
@@ -505,6 +474,5 @@ def _replicated_tail(a: SplitAnalysis, idx: MinSplitIndexing) -> Decomposition:
                         "a rebuilt tail bag misses part of the segment "
                         "constant; the blocks are not translates")
                 bags.append(b - invariant)
-    template = PeriodicBags(len(bags), tuple(bags), tail.step, invariant)
-    return Decomposition(Line((omega(),)), (template,),
-                         idx.split(wn).vertices, d.z2)
+    template = PeriodicBags(len(bags), tuple(bags), step, invariant)
+    return Decomposition(Line((omega(),)), (template,), first, d.z2)

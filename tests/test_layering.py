@@ -1,5 +1,6 @@
 """Module layering: no module of the package imports another's private
-helpers.  A name that one module needs from another is public there."""
+helpers.  A name that one module needs from another is public there, and
+each public name is defined by one module only."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,20 @@ def test_no_module_imports_private_helpers():
     assert len(files) > 1
     bad = [hit for f in files for hit in _private_imports(f)]
     assert not bad, "\n".join(bad)
+
+
+def _public_definitions(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_public_names_are_defined_once():
+    where: dict[str, list[str]] = {}
+    for f in sorted(SRC.glob("*.py")):
+        for name in _public_definitions(f):
+            where.setdefault(name, []).append(f.name)
+    assert where
+    twice = {name: files for name, files in where.items() if len(files) > 1}
+    assert not twice, twice

@@ -1,6 +1,7 @@
 """Well-order machinery: universes, concatenation, and the rebuild."""
 
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -27,6 +28,7 @@ from linedecomp.decomposition import (
     Side,
     V,
     VertexId,
+    add_to_bags,
     bag_at,
     bag_of,
     limit_vertices,
@@ -39,9 +41,6 @@ from linedecomp.oracle import materialize, random_decomposition, witness_family
 from linedecomp.splits import analyze_splits, enumerate_min_splits, split_at
 from linedecomp.wo import (
     Ray,
-    WoDecomposition,
-    add_to_bags,
-    as_wo,
     concat_wo,
     to_wo,
     universe_overlap,
@@ -132,34 +131,12 @@ def test_overlap_finite_against_ray():
 
 
 # ---------------------------------------------------------------------------
-# as_wo and the subtype
-
-
-def test_as_wo_rejects_non_well_order():
-    with pytest.raises(ValueError):
-        as_wo(band(omega_star()))
-
-
-def test_as_wo_rejects_broken_input():
-    gap = explicit({V("a"), V("b")}, {V("b")}, {V("a")})
-    with pytest.raises(ValueError):
-        as_wo(gap)
-
-
-def test_wo_subtype_equals_plain_content():
-    d = explicit({V("a"), V("b")})
-    w = as_wo(d)
-    assert isinstance(w, WoDecomposition)
-    assert w == d and hash(w) == hash(d)
-
-
-# ---------------------------------------------------------------------------
 # concat_wo
 
 
 def test_concat_two_single_bags():
-    d1 = as_wo(explicit({V("a"), V("b")}))
-    d2 = as_wo(explicit({V("b"), V("c")}))
+    d1 = explicit({V("a"), V("b")})
+    d2 = explicit({V("b"), V("c")})
     j = concat_wo(d1, d2, bag_of("b"))
     assert width(j) == 1
     assert [bag_at(j, p) for p in all_points(j.line)] \
@@ -168,29 +145,29 @@ def test_concat_two_single_bags():
 
 
 def test_concat_omega_plus_point():
-    lower = as_wo(band(omega()))
-    upper = as_wo(explicit({V("x")}))
+    lower = band(omega())
+    upper = explicit({V("x")})
     j = concat_wo(lower, upper, frozenset())
     assert str(line_ordinal(j.line)) == "w + 1"
 
 
 def test_concat_width_is_max():
-    d1 = as_wo(explicit({V("a"), V("b"), V("c"), V("d")}))
-    d2 = as_wo(explicit({V("d"), V("e"), V("f")}))
+    d1 = explicit({V("a"), V("b"), V("c"), V("d")})
+    d2 = explicit({V("d"), V("e"), V("f")})
     j = concat_wo(d1, d2, bag_of("d"))
     assert width(j) == 3
 
 
 def test_concat_keeps_designations():
-    d1 = as_wo(explicit({V("a"), V("b")}, z1={V("a")}, z2={V("b")}))
-    d2 = as_wo(explicit({V("b"), V("c")}, z1={V("b")}, z2={V("c")}))
+    d1 = explicit({V("a"), V("b")}, z1={V("a")}, z2={V("b")})
+    d2 = explicit({V("b"), V("c")}, z1={V("b")}, z2={V("c")})
     j = concat_wo(d1, d2, bag_of("b"))
     assert j.z1 == bag_of("a") and j.z2 == bag_of("c")
 
 
 def test_concat_rejects_bad_interface():
-    d1 = as_wo(explicit({V("a"), V("b")}, {V("b"), V("c")}))
-    d2 = as_wo(explicit({V("c"), V("d")}))
+    d1 = explicit({V("a"), V("b")}, {V("b"), V("c")})
+    d2 = explicit({V("c"), V("d")})
     with pytest.raises(ValueError):
         concat_wo(d1, d2, bag_of("b"))  # b is not in d1's last bag? it is; not in d2
     with pytest.raises(ValueError):
@@ -198,27 +175,33 @@ def test_concat_rejects_bad_interface():
 
 
 def test_concat_rejects_overlap_beyond_interface():
-    d1 = as_wo(explicit({V("a"), V("b")}, {V("b"), V("c")}))
-    d2 = as_wo(explicit({V("b"), V("c"), V("d")}))
+    d1 = explicit({V("a"), V("b")}, {V("b"), V("c")})
+    d2 = explicit({V("b"), V("c"), V("d")})
     with pytest.raises(ValueError, match="exactly the interface"):
         concat_wo(d1, d2, bag_of("c"))
 
 
 def test_concat_rejects_infinite_overlap():
-    d1 = as_wo(band(omega()))
-    d2 = as_wo(band(omega()))
+    d1 = band(omega())
+    d2 = band(omega())
     with pytest.raises(ValueError, match="infinitely many"):
         concat_wo(d1, d2, frozenset())
 
 
 def test_concat_rejects_unordered_input():
     with pytest.raises(ValueError, match="well-order"):
-        concat_wo(band(omega_star()), as_wo(explicit({V("x")})), frozenset())
+        concat_wo(band(omega_star()), explicit({V("x")}), frozenset())
+
+
+def test_concat_wo_rejects_a_part_that_does_not_verify():
+    gap = explicit({V("a"), V("b")}, {V("b")}, {V("a")})
+    with pytest.raises(ValueError, match="verify"):
+        concat_wo(gap, explicit({V("x")}), frozenset())
 
 
 def test_concat_merges_finite_runs():
-    d1 = as_wo(explicit({V("a"), V("b")}))
-    d2 = as_wo(explicit({V("b")}))
+    d1 = explicit({V("a"), V("b")})
+    d2 = explicit({V("b")})
     j = concat_wo(d1, d2, bag_of("b"))
     assert len(j.line.segments) == 1 and j.line.segments[0].length == 2
 
@@ -232,7 +215,7 @@ def test_split_then_concat_is_identity_on_finite():
         s = split_at(d, cut).vertices
         lower = restrict(d, cut, Region.INSIDE)
         upper = restrict(d, cut, Region.OUTSIDE)
-        assert concat_wo(as_wo(lower), as_wo(upper), s) == d
+        assert concat_wo(lower, upper, s) == d
 
 
 # ---------------------------------------------------------------------------
@@ -240,24 +223,18 @@ def test_split_then_concat_is_identity_on_finite():
 
 
 def test_add_nothing_is_identity():
-    d = as_wo(explicit({V("a")}))
+    d = explicit({V("a")})
     assert add_to_bags(d, frozenset()) is d
 
 
 def test_add_bounds_width_and_sets_limits():
-    d = as_wo(band(omega(), size=2))
+    d = band(omega(), size=2)
     s = bag_of("x", "y")
     out = add_to_bags(d, s)
-    assert isinstance(out, WoDecomposition)
     assert width(out) <= width(d) + len(s)
     assert s <= limit_vertices(out, Side.LEFT)
     assert s <= limit_vertices(out, Side.RIGHT)
     assert s <= out.z1 and s <= out.z2
-
-
-def test_add_keeps_plain_type():
-    d = band(zeta())
-    assert not isinstance(add_to_bags(d, bag_of("x")), WoDecomposition)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +244,17 @@ def test_add_keeps_plain_type():
 def test_to_wo_returns_finite_input_unchanged():
     d = explicit({V("a"), V("b")}, {V("b"), V("c")}, z1={V("a")})
     out = to_wo(d)
-    assert out == d and isinstance(out, WoDecomposition)
+    assert out == d
 
 
 def test_to_wo_returns_omega_input_unchanged():
     d = band(omega(), size=2)
     assert to_wo(d) == d
+
+
+def test_to_wo_returns_well_ordered_input_itself():
+    for d in (explicit({V("a"), V("b")}, z1={V("a")}), band(omega(), size=2)):
+        assert to_wo(d) is d
 
 
 def test_to_wo_is_a_fixed_point():
@@ -511,6 +493,33 @@ def test_to_wo_builds_one_split_window_per_rebuild_node(monkeypatch, random_corp
             pass
     # every rebuild node tidies its input once, then analyses its splits once
     assert 0 < calls["windows"] <= calls["nodes"]
+
+
+def test_to_wo_releases_each_split_analysis_before_recursing(monkeypatch, random_corpus):
+    built = []  # weak references to the analyses of the current input
+    live_at_node = []
+    analyze, tidy = linedecomp.wo.analyze_splits, linedecomp.wo.tidy
+
+    def tracked_analyze(d):
+        a = analyze(d)
+        built.append(weakref.ref(a))
+        return a
+
+    def counting_tidy(d):
+        # every rebuild node tidies its input before it analyses its splits
+        live_at_node.append(sum(r() is not None for r in built))
+        return tidy(d)
+
+    monkeypatch.setattr(linedecomp.wo, "analyze_splits", tracked_analyze)
+    monkeypatch.setattr(linedecomp.wo, "tidy", counting_tidy)
+    for d in random_corpus:
+        built.clear()
+        try:
+            to_wo(d)
+        except (UnsupportedScopeError, ValueError):
+            pass
+    assert built and len(live_at_node) > len(random_corpus)
+    assert max(live_at_node) == 0
 
 
 def _outcome(f):
