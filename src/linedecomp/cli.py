@@ -554,10 +554,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once per process: constructing the ten subcommand parsers takes
+# 1-2 ms, more than many commands take on small documents
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from linedecomp.line import (
     Cut,
@@ -686,7 +686,7 @@ def remove_from_bags(d: Decomposition, s: Bag) -> Optional[Decomposition]:
         if not keep:
             continue
         segs.append(seg)
-        temps.append(_select_residues(
+        temps.append(_retemplate(
             PeriodicBags(t.period, res, t.stride, const), keep))
     if not segs:
         return None
@@ -695,43 +695,14 @@ def remove_from_bags(d: Decomposition, s: Bag) -> Optional[Decomposition]:
     return Decomposition(Line(tuple(segs)), tuple(temps), z1, z2)
 
 
-def _select_residues(t: PeriodicBags, keep: list[int]) -> PeriodicBags:
-    """Restrict a periodic template to a sub-pattern of residues, renumbering
-    offsets so the kept positions become consecutive.  The origin stays at
-    block 0, so for two-sided segments the pattern lines up on both sides."""
-    q = len(keep)
-    res = tuple(t.residues[r] for r in keep)
-    return PeriodicBags(q, res, t.stride, t.constant)
-
-
-def _retemplate_from(t: PeriodicBags, kept_offsets: list[int]) -> PeriodicBags:
-    """Template whose bag(i) for i = b*q + u equals t.bag(kept_offsets[u] + b*t.period),
-    given one ascending period's worth of kept offsets."""
-    q = len(kept_offsets)
-    res = tuple(shift_set(t.residues[o % t.period], t.stride * (o // t.period))
-                for o in kept_offsets)
-    return PeriodicBags(q, res, t.stride, t.constant)
-
-
-def _retemplate_below(t: PeriodicBags, kept_desc: list[int]) -> PeriodicBags:
-    """Mirror of _retemplate_from for a downward tail: bag(-(b*q)-u) for
-    u in 1..q equals t.bag(kept_desc[u-1] - b*t.period), kept_desc descending."""
-    q = len(kept_desc)
-    res_by_r: dict[int, Bag] = {}
-    for u, o in enumerate(kept_desc, start=1):
-        r = (q - u) % q
-        res_by_r[r] = shift_set(t.residues[o % t.period],
-                                t.stride * (o // t.period + 1))
-    res = tuple(res_by_r[r] for r in range(q))
-    return PeriodicBags(q, res, t.stride, t.constant)
-
-
-def _rephase(t: PeriodicBags, delta: int) -> PeriodicBags:
-    """Template u with u.bag(i) == t.bag(i + delta)."""
+def _retemplate(t: PeriodicBags, offsets: Sequence[int]) -> PeriodicBags:
+    """Template u with u.bag(b*q + r) == t.bag(offsets[r] + b*t.period),
+    q = len(offsets): one period of t's offsets, renumbered consecutively.
+    A run of p consecutive offsets rephases t; a sub-pattern of residues
+    drops the others while the origin stays at block 0."""
     p = t.period
-    res = tuple(shift_set(t.residues[(r + delta) % p], t.stride * ((r + delta) // p))
-                for r in range(p))
-    return PeriodicBags(p, res, t.stride, t.constant)
+    res = tuple(shift_set(t.residues[o % p], t.stride * (o // p)) for o in offsets)
+    return PeriodicBags(len(res), res, t.stride, t.constant)
 
 
 def restrict(d: Decomposition, c: Cut, region: Region) -> Decomposition:
@@ -755,7 +726,7 @@ def restrict(d: Decomposition, c: Cut, region: Region) -> Decomposition:
                 temps.append(ExplicitBags(tuple(t.bag(o) for o in range(i + 1))))
             else:
                 segs.append(Segment(SegmentKind.OMEGA_STAR))
-                temps.append(_rephase(t, i + 1))
+                temps.append(_retemplate(t, range(i + 1, i + 1 + t.period)))
         return Decomposition(Line(tuple(segs)), tuple(temps), d.z1, s)
     if c.position is not CutPosition.AFTER_SEGMENT:
         i = c.offset
@@ -770,7 +741,7 @@ def restrict(d: Decomposition, c: Cut, region: Region) -> Decomposition:
                 temps.append(ExplicitBags(tuple(t.bag(o) for o in range(i + 1, 0))))
         else:
             segs.append(Segment(SegmentKind.OMEGA))
-            temps.append(_rephase(t, i + 1))
+            temps.append(_retemplate(t, range(i + 1, i + 1 + t.period)))
     segs.extend(d.line.segments[j + 1:])
     temps.extend(d.templates[j + 1:])
     return Decomposition(Line(tuple(segs)), tuple(temps), s, d.z2)
@@ -905,45 +876,33 @@ def _generic_keep_pattern(t: PeriodicBags, kind: SegmentKind, zone: _Zone) -> se
         g = zone.hull_lo // p - 3
     else:
         g = zone.hull_lo // p + len(zone.hull_bags) // p + 3
-    lo = (g - 2) * p
-    bags = [t.bag(i) for i in range(lo, (g + 3) * p)]
-    keep: set[int] = set()
-    for r in range(p):
-        pos = 2 * p + r  # index of offset g*p + r within bags
-        if _drops_in_window(bags, pos):
-            continue
-        keep.add((g * p + r) % p)
+    bags = [t.bag(i) for i in range((g - 2) * p, (g + 3) * p)]
+    # offset g*p + r sits at index 2*p + r of bags
+    keep = {r for r in range(p) if not _drops(bags, 2 * p + r)}
     assert keep, "a full period cannot strictly nest into itself"
     return keep
 
 
-def _drops_in_window(bags: list[Bag], pos: int) -> bool:
-    """Drop rule on a plain bag list: duplicate of predecessor, or strictly
-    inside the nearest differing bag on either side."""
+def _drops(bags: list[Bag], pos: int, below_full: Optional[Bag] = None,
+           above_full: Optional[Bag] = None) -> bool:
+    """Drop rule on a plain bag list: duplicate of its predecessor (the
+    run's first survives), or strictly inside the nearest differing bag on
+    either side.  A full set stands for the open segment beyond that end of
+    the list: a bag inside every bag of a segment that is not constant sits
+    strictly inside one of them."""
     b = bags[pos]
     if pos > 0 and bags[pos - 1] == b:
         return True
-    i = pos + 1
-    while i < len(bags) and bags[i] == b:
-        i += 1
-    if i < len(bags) and b < bags[i]:
-        return True
-    i = pos - 1
-    while i >= 0 and bags[i] == b:
-        i -= 1
-    if i >= 0 and b < bags[i]:
-        return True
+    for step, full in ((1, above_full), (-1, below_full)):
+        i = pos + step
+        while 0 <= i < len(bags) and bags[i] == b:
+            i += step
+        if 0 <= i < len(bags):
+            if b < bags[i]:
+                return True
+        elif full is not None and b <= full:
+            return True
     return False
-
-
-def _tail_peek(zone: _Zone, upward: bool, count: int) -> list[Bag]:
-    t = zone.template
-    assert isinstance(t, PeriodicBags)
-    if upward:
-        start = zone.hull_lo + len(zone.hull_bags)
-        return [t.bag(start + i) for i in range(count)]
-    end = zone.hull_lo - 1
-    return [t.bag(end - i) for i in range(count)]
 
 
 def _decide_drops(d: Decomposition, zones: list[_Zone]) -> bool:
@@ -953,75 +912,35 @@ def _decide_drops(d: Decomposition, zones: list[_Zone]) -> bool:
     n = len(zones)
     full_sets = [full_vertices(d, j) for j in range(n)]
 
-    def neighbors_above(zi: int) -> tuple[list[Bag], Optional[Bag]]:
-        """Bags above zone zi's hull, in order, plus the full-set of an open
-        junction if the walk ends at one.  Bounded walk: enough bags to get
-        past any equality run."""
+    def neighbors(zi: int, up: bool) -> tuple[list[Bag], Optional[Bag]]:
+        """Bags beyond zone zi's hull going up (down), nearest first, plus
+        the full set of an open junction if the walk ends at one.  Bounded
+        walk: enough bags to get past any equality run."""
+        step = 1 if up else -1
         out: list[Bag] = []
-        z = zones[zi]
-        if z.tail_up:
-            p = z.template.period
-            out.extend(_tail_peek(z, True, 3 * p + 3))
-            return out, None
-        k = zi + 1
-        while k < n:
-            nz = zones[k]
-            if nz.tail_down:
-                if not out:
-                    return [], full_sets[nz.seg_index]
-                return out, full_sets[nz.seg_index]
-            out.extend(nz.hull_bags)
-            if nz.tail_up:
-                out.extend(_tail_peek(nz, True, 3 * nz.template.period + 3))
+        k = zi
+        while 0 <= k < n:
+            z = zones[k]
+            if k != zi:
+                if z.tail_down if up else z.tail_up:
+                    return out, full_sets[z.seg_index]
+                out.extend(z.hull_bags[::step])
+            if z.tail_up if up else z.tail_down:
+                t = z.template
+                start = z.hull_lo + len(z.hull_bags) if up else z.hull_lo - 1
+                out.extend(t.bag(start + step * i) for i in range(3 * t.period + 3))
                 return out, None
-            k += 1
-        return out, None
-
-    def neighbors_below(zi: int) -> tuple[list[Bag], Optional[Bag]]:
-        out: list[Bag] = []
-        z = zones[zi]
-        if z.tail_down:
-            p = z.template.period
-            out.extend(_tail_peek(z, False, 3 * p + 3))
-            return out, None
-        k = zi - 1
-        while k >= 0:
-            nz = zones[k]
-            if nz.tail_up:
-                return out, full_sets[nz.seg_index]
-            out.extend(reversed(nz.hull_bags))
-            if nz.tail_down:
-                out.extend(_tail_peek(nz, False, 3 * nz.template.period + 3))
-                return out, None
-            k -= 1
+            k += step
         return out, None
 
     for zi, z in enumerate(zones):
-        above_bags, above_full = neighbors_above(zi)
-        below_bags, below_full = neighbors_below(zi)
-        kept = []
-        bags = z.hull_bags
-        for pos, b in enumerate(bags):
-            prev = bags[pos - 1] if pos > 0 else (below_bags[0] if below_bags else None)
-            if prev is not None and prev == b:
-                continue  # duplicate of its predecessor; the run's first survives
-            seq = bags[pos + 1:] + above_bags
-            nd = next((x for x in seq if x != b), None)
-            if nd is not None and b < nd:
-                continue
-            if nd is None and above_full is not None and b <= above_full:
-                # b sits inside every bag of the open segment above, and that
-                # segment is not constant, so strictly inside one of them
-                continue
-            seq = list(reversed(bags[:pos])) + below_bags
-            nd = next((x for x in seq if x != b), None)
-            if nd is not None and b < nd:
-                continue
-            if nd is None and below_full is not None and b <= below_full:
-                continue
-            kept.append(pos)
-        z.kept_hull = kept
-        if len(kept) < len(bags):
+        above, above_full = neighbors(zi, True)
+        below, below_full = neighbors(zi, False)
+        window = below[::-1] + z.hull_bags + above
+        z.kept_hull = [pos for pos in range(len(z.hull_bags))
+                       if not _drops(window, len(below) + pos,
+                                     below_full, above_full)]
+        if len(z.kept_hull) < len(z.hull_bags):
             any_drop = True
         if z.tail_up or z.tail_down:
             z.keep_pattern = _generic_keep_pattern(z.template, z.kind, z)
@@ -1038,38 +957,23 @@ def _assemble(d: Decomposition, zones: list[_Zone]) -> Decomposition:
             pieces.append(("bags", kept_bags))
             continue
         t = z.template
-        p = t.period
-        keep = z.keep_pattern
-        kept_offsets = [z.hull_lo + i for i in z.kept_hull]
-        if kept_offsets == [o for o in range(z.hull_lo, z.hull_lo + len(z.hull_bags))
-                            if o % p in keep]:
+        keep = sorted(z.keep_pattern)
+        # periodic hulls start and end on block boundaries, so the kept
+        # offsets of the block just below (above) the hull are offsets
+        # -q..-1 (0..q-1) of the omega* (omega) tail
+        hull_end = z.hull_lo + len(z.hull_bags)
+        if z.kept_hull == [i for i in range(len(z.hull_bags)) if i % t.period in keep]:
             # the explicit window dropped nothing beyond the periodic pattern,
             # so the segment keeps its shape
-            seg = d.line.segments[z.seg_index]
-            if len(keep) == p:
-                pieces.append(("seg", seg, t))
-            else:
-                pieces.append(("seg", seg, _select_residues(t, sorted(keep))))
+            pieces.append(("seg", d.line.segments[z.seg_index], _retemplate(t, keep)))
             continue
         if z.tail_down:
-            kept_desc = []
-            o = z.hull_lo - 1
-            while len(kept_desc) < len(keep):
-                if o % p in keep:
-                    kept_desc.append(o)
-                o -= 1
             pieces.append(("seg", Segment(SegmentKind.OMEGA_STAR),
-                           _retemplate_below(t, kept_desc)))
+                           _retemplate(t, [z.hull_lo + r for r in keep])))
         pieces.append(("bags", kept_bags))
         if z.tail_up:
-            kept_asc = []
-            o = z.hull_lo + len(z.hull_bags)
-            while len(kept_asc) < len(keep):
-                if o % p in keep:
-                    kept_asc.append(o)
-                o += 1
             pieces.append(("seg", Segment(SegmentKind.OMEGA),
-                           _retemplate_from(t, kept_asc)))
+                           _retemplate(t, [hull_end + r for r in keep])))
     segs: list[Segment] = []
     temps: list[BagTemplate] = []
     run: list[Bag] = []

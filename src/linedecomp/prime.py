@@ -65,14 +65,7 @@ def is_prime(d: Decomposition) -> bool:
         raise ValueError("primality is only defined for valid decompositions")
     if tidy(d) != d:
         return False
-    if all(seg.is_finite for seg in d.line.segments):
-        pts = all_points(d.line)
-        splits = [boundary_split(d, cut_after_point(d.line, p))
-                  for p in pts[:-1]]
-        if any(not s for s in splits):
-            return False
-        return len(set(splits)) == len(splits)
-    return _is_prime_periodic(d)
+    return _splits_all_distinct(d)
 
 
 @dataclass(frozen=True)
@@ -133,7 +126,9 @@ def _families_collide(a: _Family, b: _Family) -> bool:
     return delta % math.gcd(abs(a.step), abs(b.step)) == 0
 
 
-def _is_prime_periodic(d: Decomposition) -> bool:
+def _splits_all_distinct(d: Decomposition) -> bool:
+    """No split is empty and none occurs at two cuts.  On a finite line the
+    split window holds every cut and there are no infinite reaches."""
     sa = analyze_splits(d)
     cuts: dict[Cut, Bag] = dict(zip(sa.window_cuts, sa.window_splits))
     if any(not s for s in cuts.values()):
@@ -341,10 +336,7 @@ def concat_components(parts: Sequence[Decomposition]) -> Decomposition:
         if i < len(parts) - 1 and p.z2:
             raise ValueError(
                 "only the last part may designate right-limit vertices")
-    out = parts[0]
-    for p in parts[1:]:
-        out = raw_concat(out, p, frozenset())
-    return out
+    return raw_concat(parts, [frozenset()] * (len(parts) - 1))
 
 
 # ---------------------------------------------------------------------------

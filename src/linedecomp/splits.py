@@ -139,6 +139,12 @@ def _classify_deep(d: Decomposition, j: int, direction: int,
     three blocks beyond it, and fits each class to a constant or marching
     rule.  Anything else cannot be numbered by an integer interval, so it is
     rejected as out of scope rather than mis-indexed.
+
+    A marching class's fixed part is read off the template, not off the
+    samples: the vertices the shift leaves alone are the statics and the
+    segment constant.  Every other vertex of the split moves one stride per
+    block, however many consecutive samples it happens to sit in (a split
+    of size m that marches one index per block keeps a vertex for m blocks).
     """
     t = d.templates[j]
     p = t.period
@@ -151,7 +157,7 @@ def _classify_deep(d: Decomposition, j: int, direction: int,
         if ss[0] == ss[1] == ss[2] == ss[3]:
             out.append(_DeepClass("constant", off, ss[0], frozenset()))
             continue
-        fixed = ss[0] & ss[1] & ss[2] & ss[3]
+        fixed = frozenset(v for v in ss[0] if v.is_static or v in t.constant)
         step = t.stride * direction
         if all(ss[i + 1] == fixed | shift_set(ss[i] - fixed, step)
                for i in range(3)):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from linedecomp.line import (
     Cut,
@@ -164,31 +164,44 @@ def universe_overlap(u1: Universe, u2: Universe) -> Optional[frozenset[VertexId]
 # Concatenation
 
 
-def raw_concat(d1: Decomposition, d2: Decomposition, s: Bag) -> Decomposition:
-    """Glue d2 above d1 along the interface s, without re-verifying."""
-    if not s <= limit_vertices(d1, Side.RIGHT):
-        raise ValueError("interface is not a right-limit set of the lower part")
-    if not s <= limit_vertices(d2, Side.LEFT):
-        raise ValueError("interface is not a left-limit set of the upper part")
-    shared = universe_overlap(vertex_universe(d1), vertex_universe(d2))
-    if shared is None:
-        raise ValueError("the parts share infinitely many vertices")
-    if shared != s:
-        raise ValueError(
-            "the parts must share exactly the interface vertices; "
-            f"off by {sorted(shared ^ s)!r}")
-    segs1, ts1 = d1.line.segments, d1.templates
-    segs2, ts2 = d2.line.segments, d2.templates
-    if (segs1 and segs2 and segs1[-1].kind is SegmentKind.FIN
-            and segs2[0].kind is SegmentKind.FIN):
-        joined = fin(segs1[-1].length + segs2[0].length)
-        bags = ts1[-1].bags + ts2[0].bags
-        segs = segs1[:-1] + (joined,) + segs2[1:]
-        ts = ts1[:-1] + (ExplicitBags(bags),) + ts2[1:]
-    else:
-        segs = segs1 + segs2
-        ts = ts1 + ts2
-    return Decomposition(Line(segs), ts, d1.z1, d2.z2)
+def raw_concat(parts: Sequence[Decomposition],
+               seams: Sequence[Bag]) -> Decomposition:
+    """Glue the parts in order along the interfaces seams[i] between
+    parts[i] and parts[i + 1], without re-verifying.
+
+    Each part's vertex universe is computed once and checked against the
+    running union of the universes below it, so n parts cost linear time.
+    """
+    if len(seams) != len(parts) - 1:
+        raise ValueError("one interface between each two consecutive parts")
+    finite, rays = map(set, vertex_universe(parts[0]))
+    for lower, upper, s in zip(parts, parts[1:], seams):
+        if not s <= limit_vertices(lower, Side.RIGHT):
+            raise ValueError("interface is not a right-limit set of the lower part")
+        if not s <= limit_vertices(upper, Side.LEFT):
+            raise ValueError("interface is not a left-limit set of the upper part")
+        up_finite, up_rays = vertex_universe(upper)
+        shared = universe_overlap((finite, rays), (up_finite, up_rays))
+        if shared is None:
+            raise ValueError("the parts share infinitely many vertices")
+        if shared != s:
+            raise ValueError(
+                "the parts must share exactly the interface vertices; "
+                f"off by {sorted(shared ^ s)!r}")
+        finite |= up_finite
+        rays |= up_rays
+    # finite segments meeting at a seam merge; each stays a list of bags
+    # until the end, so merging never copies what was glued before
+    pieces: list = []  # lists of bags and (segment, template) pairs
+    for p in parts:
+        own = [list(t.bags) if seg.kind is SegmentKind.FIN else (seg, t)
+               for seg, t in zip(p.line.segments, p.templates)]
+        if pieces and isinstance(pieces[-1], list) and isinstance(own[0], list):
+            pieces[-1] += own.pop(0)
+        pieces += own
+    segs = tuple(fin(len(x)) if isinstance(x, list) else x[0] for x in pieces)
+    ts = tuple(ExplicitBags(tuple(x)) if isinstance(x, list) else x[1] for x in pieces)
+    return Decomposition(Line(segs), ts, parts[0].z1, parts[-1].z2)
 
 
 def concat_wo(d1: Decomposition, d2: Decomposition, s: Bag) -> Decomposition:
@@ -203,7 +216,7 @@ def concat_wo(d1: Decomposition, d2: Decomposition, s: Bag) -> Decomposition:
         raise ValueError("the lower part is not on a well-order")
     if not is_well_order(d2.line):
         raise ValueError("the upper part is not on a well-order")
-    return _verified(raw_concat(d1, d2, frozenset(s)))
+    return _verified(raw_concat([d1, d2], [frozenset(s)]))
 
 
 def _verified(d: Decomposition) -> Decomposition:
@@ -262,7 +275,9 @@ def _rebuild_any(d: Decomposition) -> Decomposition:
     if direct is not None:
         return direct
     plan = _plan(analyze_splits(td))
-    return _fold_chain([piece() for piece in plan])
+    pieces = [piece() for piece in plan]
+    # each piece's designated left set is the split it was glued along
+    return raw_concat(pieces, [p.z1 for p in pieces[1:]])
 
 
 def _plan(a: SplitAnalysis) -> list[_Piece]:
@@ -296,15 +311,6 @@ def _directly_orderable(d: Decomposition) -> Optional[Decomposition]:
 
 def _single_bag(s: Bag) -> Decomposition:
     return Decomposition(Line((fin(1),)), (ExplicitBags((s,)),), s, s)
-
-
-def _fold_chain(pieces: list[Decomposition]) -> Decomposition:
-    """Concatenate rebuilt pieces in order; each one's designated left set
-    is the split it was glued along."""
-    out = pieces[0]
-    for nxt in pieces[1:]:
-        out = raw_concat(out, nxt, nxt.z1)
-    return out
 
 
 def _require_cut(x, what: str) -> Cut:

@@ -79,7 +79,7 @@ def cut_at(offset: int) -> Cut:
 
 def test_witness_tightness():
     t0 = time.perf_counter()
-    for k in (1, 2, 3):
+    for k in range(1, 7):
         w = witness_family(k)
         out = to_wo(w)
         rep = verify(out)
@@ -97,7 +97,7 @@ def test_witness_tightness():
     report(
         "witness tightness",
         took < 10.0,
-        f"k=1..3 rebuilt to width exactly 2k, certified, window 200, {took:.1f}s",
+        f"k=1..6 rebuilt to width exactly 2k, certified, window 200, {took:.1f}s",
     )
 
 
@@ -152,7 +152,7 @@ def test_before_order_totality():
 
 
 def test_minimum_split_indexing():
-    for k in (1, 2, 3):
+    for k in range(1, 7):
         w = witness_family(k)
         idx = enumerate_min_splits(w)
         assert idx.m == k

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import linedecomp.cli
 from linedecomp.cli import (
     DocumentError,
     emit_document,
@@ -21,7 +22,7 @@ from linedecomp.decomposition import (
     bag_of,
     tidy,
 )
-from linedecomp.line import Line, fin, omega, zeta
+from linedecomp.line import Line, UnsupportedScopeError, fin, omega, zeta
 from linedecomp.oracle import witness_family
 from linedecomp.prime import factor
 from linedecomp.wo import to_wo
@@ -286,9 +287,20 @@ def test_check_malformed_document(tmp_path, capsys):
     assert "document error" in err
 
 
-def test_check_skips_prime_when_out_of_scope(tmp_path, capsys):
-    # the window heuristics refuse sliding families this wide; check still
-    # reports everything it can decide
+def test_check_reports_a_wide_band_prime(tmp_path, capsys):
+    path = save(tmp_path, emit_document(witness_family(4)))
+    code, out, _ = run(capsys, "check", path)
+    assert code == 0
+    assert out == "width 4, tidy, prime\n"
+
+
+def test_check_skips_prime_when_out_of_scope(tmp_path, capsys, monkeypatch):
+    # no tidy input is known that the split analysis refuses, so primality
+    # is refused by hand; check still reports everything it can decide
+    def refuse(d):
+        raise UnsupportedScopeError("splits do not stabilize")
+
+    monkeypatch.setattr(linedecomp.cli, "is_prime", refuse)
     path = save(tmp_path, emit_document(witness_family(4)))
     code, out, _ = run(capsys, "check", path)
     assert code == 0

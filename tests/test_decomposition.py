@@ -35,6 +35,7 @@ from linedecomp.decomposition import (
     Side,
     V,
     VertexId,
+    _retemplate,
     add_to_bags,
     bag_at,
     bag_of,
@@ -52,6 +53,7 @@ from linedecomp.decomposition import (
     verify,
     width,
 )
+from linedecomp.oracle import materialize
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +490,55 @@ def test_tidy_drops_bag_into_open_segment():
     assert len(td.line.segments) == 1
     assert verify(td).ok
     assert tidy(td) is td
+
+
+NESTED_PAIR = (bag_of(("v", 0)), bag_of(("v", 0), ("v", 1)))
+
+
+@pytest.mark.parametrize("seg, constant, kinds", [
+    # the pinned v_1 breaks the pattern near 0: the hull stays explicit and
+    # both tails keep only the residue that is not nested
+    (zeta(), bag_of(("v", 1)), ["OMEGA_STAR", "FIN", "OMEGA"]),
+    # without it every block drops the same residue: the segment keeps
+    # its shape on a one-residue template
+    (omega(), frozenset(), ["OMEGA"]),
+    (omega_star(), frozenset(), ["OMEGA_STAR"]),
+    (zeta(), frozenset(), ["ZETA"]),
+])
+def test_tidy_drops_a_nested_residue(seg, constant, kinds):
+    d = Decomposition(Line.of(seg), (PeriodicBags(2, NESTED_PAIR, 2, constant),))
+    assert verify(d).ok
+    td = tidy(d)
+    assert [s.kind.name for s in td.line.segments] == kinds
+    assert all(t.period == 1 for t in td.templates if isinstance(t, PeriodicBags))
+    assert verify(td).ok
+    assert_window_tidy(window_bags(td, 8))
+    for a, b in ((d, td), (td, d)):
+        _, small = materialize(a, 6)
+        _, large = materialize(b, 30)
+        assert small.vertices <= large.vertices and small.edges <= large.edges
+    assert tidy(td) is td
+
+
+@st.composite
+def periodic_template(draw):
+    p = draw(st.integers(1, 3))
+    vertex = st.one_of(st.builds(V, st.sampled_from("ab")),
+                       st.builds(V, st.sampled_from("uv"), st.integers(-3, 3)))
+    residues = tuple(draw(st.frozensets(vertex, max_size=3)) for _ in range(p))
+    return PeriodicBags(p, residues, draw(st.integers(-3, 3)),
+                        draw(st.frozensets(vertex, max_size=2)))
+
+
+@given(periodic_template(), st.lists(st.integers(-8, 8), min_size=1, max_size=4))
+@settings(max_examples=60)
+def test_retemplate_reindexes_offsets(t, offsets):
+    u = _retemplate(t, offsets)
+    q = len(offsets)
+    assert u.period == q and u.stride == t.stride and u.constant == t.constant
+    for b in range(-3, 4):
+        for r, o in enumerate(offsets):
+            assert u.bag(b * q + r) == t.bag(o + b * t.period)
 
 
 @given(interval_system())

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import linedecomp.wo
 from linedecomp.line import (
     Cut,
     CutPosition,
@@ -44,7 +45,7 @@ from linedecomp.prime import (
     split_components,
     substitute,
 )
-from linedecomp.wo import to_wo
+from linedecomp.wo import to_wo, vertex_universe
 
 
 def explicit(*bags, z1=(), z2=()):
@@ -104,7 +105,7 @@ def test_is_prime_rejects_invalid():
 # Primality on periodic lines
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 7))
 def test_witness_family_is_prime(k):
     assert is_prime(witness_family(k))
 
@@ -366,6 +367,22 @@ def test_concat_ordinal_sum():
     out = concat_components([band(omega(), tag="a"), explicit({V("x")})])
     assert verify(out).ok
     assert str(line_ordinal(out.line)) == "w + 1"
+
+
+def test_concat_computes_each_part_universe_once(monkeypatch):
+    # checking each part against the running union keeps n parts linear;
+    # recomputing the universe of everything glued so far is quadratic
+    parts = [explicit({V("v", i)}) for i in range(6)]
+    seen = []
+
+    def counting(d):
+        seen.append(d)
+        return vertex_universe(d)
+
+    monkeypatch.setattr(linedecomp.wo, "vertex_universe", counting)
+    out = concat_components(parts)
+    assert [id(d) for d in seen] == [id(p) for p in parts]
+    assert out == explicit(*({V("v", i)} for i in range(6)))
 
 
 def test_concat_rejects_shared_vertices():

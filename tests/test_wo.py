@@ -288,7 +288,7 @@ def test_to_wo_reversal_respects_designations():
 # to_wo: the witness families
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 7))
 def test_to_wo_band_width_doubles_exactly(k):
     d = witness_family(k)
     out = to_wo(d)
