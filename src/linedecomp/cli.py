@@ -66,7 +66,7 @@ from .oracle import (
     vertex_text,
     witness_family,
 )
-from .prime import SubstitutionPlan, factor, is_prime
+from .prime import SubstitutionPlan, factor, splits_all_distinct
 from .splits import enumerate_min_splits, split_budget
 from .wo import to_wo
 
@@ -405,7 +405,7 @@ def _cmd_check(args) -> int:
     if tidy(d) == d:
         parts.append("tidy")
         try:
-            if is_prime(d):
+            if splits_all_distinct(d):
                 parts.append("prime")
         except UnsupportedScopeError:
             pass

@@ -14,6 +14,7 @@ hoping.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import itertools
@@ -231,13 +232,27 @@ def _block_range(kind: SegmentKind) -> tuple[Optional[int], Optional[int]]:
     return (None, None)
 
 
-def occurrence_in_segment(d: Decomposition, j: int, v: VertexId):
+def _explicit_occurrences(d: Decomposition) -> dict[int, dict[VertexId, list[int]]]:
+    """For each explicit segment j: every vertex of its bags mapped to the
+    offsets where it occurs, in order, from one pass over the bags."""
+    occ = {}
+    for j, t in enumerate(d.templates):
+        if isinstance(t, ExplicitBags):
+            occ[j] = seen = collections.defaultdict(list)
+            for i, b in enumerate(t.bags):
+                for v in b:
+                    seen[v].append(i)
+    return occ
+
+
+def _occurrence_in_segment(d: Decomposition, j: int, v: VertexId, occ):
     """Exact occurrence descriptor of a concrete vertex within one segment:
-    ('none',) | ('all',) | ('offsets', sorted tuple) | ('residues', frozenset).
+    ('none',) | ('all',) | ('offsets', sorted offsets) | ('residues', frozenset).
+    Explicit segments are read from `occ`, built by `_explicit_occurrences`.
     """
     t = d.templates[j]
     if isinstance(t, ExplicitBags):
-        offs = tuple(i for i, b in enumerate(t.bags) if v in b)
+        offs = occ[j].get(v)
         if not offs:
             return ("none",)
         if len(offs) == len(t.bags):
@@ -302,10 +317,10 @@ def _residue_gap_example(d: Decomposition, j: int, v: VertexId, rs) -> tuple:
     return (v, Point(j, base + r0), Point(j, gap), Point(j, base + p + r0))
 
 
-def _point_where_absent(d: Decomposition, j: int, v: VertexId) -> Point:
+def _point_where_absent(d: Decomposition, j: int, v: VertexId, occ) -> Point:
     """Some point of segment j whose bag misses v.  Exists whenever the
     occurrence descriptor is not 'all'."""
-    desc = occurrence_in_segment(d, j, v)
+    desc = _occurrence_in_segment(d, j, v, occ)
     seg = d.line.segments[j]
     if desc[0] == "none":
         if seg.kind is SegmentKind.FIN:
@@ -318,9 +333,8 @@ def _point_where_absent(d: Decomposition, j: int, v: VertexId) -> Point:
         return Point(j, missing)
     offs = desc[1]
     if seg.kind is SegmentKind.FIN:
-        occupied = set(offs)
-        free = [i for i in range(seg.length) if i not in occupied]
-        return Point(j, free[0])
+        # offs is sorted and shorter than the segment: the first free offset
+        return Point(j, next((i for i, o in enumerate(offs) if i != o), len(offs)))
     if seg.kind is SegmentKind.OMEGA_STAR:
         return Point(j, min(offs) - 1)
     return Point(j, max(offs) + 1)
@@ -411,7 +425,7 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
     """None when every vertex's occurrence set is an interval of the line,
     else (vertex, r, s, t) with the vertex in the bags at r and t but not s.
     """
-    n = len(d.line.segments)
+    occ = _explicit_occurrences(d)
 
     # 1) within one periodic segment: statics and unshifted mobiles must fill
     #    all residues or none; shifted-orbit patterns must be contiguous
@@ -423,7 +437,7 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
             if v in t.constant:
                 continue
             if v.is_static or t.stride == 0:
-                desc = occurrence_in_segment(d, j, v)
+                desc = _occurrence_in_segment(d, j, v, occ)
                 if desc[0] == "residues":
                     return _residue_gap_example(d, j, v, desc[1])
         if t.stride != 0:
@@ -458,9 +472,9 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
     # 3) concrete candidates: statics, pinned vertices, unshifted mobiles,
     #    everything in explicit bags, plus the cross-template solutions
     candidates: set[VertexId] = set(shared_candidates)
-    for t in d.templates:
-        if isinstance(t, ExplicitBags):
-            candidates.update(*t.bags)
+    for j, t in enumerate(d.templates):
+        if j in occ:
+            candidates.update(occ[j])
         else:
             candidates.update(t.constant)
             for res in t.residues:
@@ -468,11 +482,9 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
                     if v.is_static or t.stride == 0:
                         candidates.add(v)
 
-    for v in sorted(candidates):
-        bad = _check_candidate(d, v)
-        if bad is not None:
-            return bad
-    return None
+    # the least failing vertex: each counterexample starts with its vertex
+    return min(filter(None, (_check_candidate(d, v, occ) for v in candidates)),
+               key=lambda bad: bad[0], default=None)
 
 
 def _expose_shift(kind: SegmentKind, t: PeriodicBags, pattern, tag, c) -> int:
@@ -490,8 +502,8 @@ def _expose_shift(kind: SegmentKind, t: PeriodicBags, pattern, tag, c) -> int:
         k = k + 1 if kind is not SegmentKind.OMEGA_STAR else k - 1
 
 
-def _check_candidate(d: Decomposition, v: VertexId) -> Optional[tuple]:
-    descs = [occurrence_in_segment(d, j, v) for j in range(len(d.line.segments))]
+def _check_candidate(d: Decomposition, v: VertexId, occ) -> Optional[tuple]:
+    descs = [_occurrence_in_segment(d, j, v, occ) for j in range(len(d.line.segments))]
     occupied = [j for j, desc in enumerate(descs) if desc[0] != "none"]
     if not occupied:
         return None
@@ -500,11 +512,9 @@ def _check_candidate(d: Decomposition, v: VertexId) -> Optional[tuple]:
         if descs[j][0] != "all":
             r = _last_point_occupied(d, j_lo, descs[j_lo])
             t = _first_point_occupied(d, j_hi, descs[j_hi])
-            return (v, r, _point_where_absent(d, j, v), t)
-    for j, desc in zip(occupied, (descs[j] for j in occupied)):
-        need_final = j < j_hi
-        need_initial = j > j_lo
-        bad = _segment_interval_violation(d, j, v, desc, need_final, need_initial)
+            return (v, r, _point_where_absent(d, j, v, occ), t)
+    for j in occupied:
+        bad = _segment_interval_violation(d, j, v, descs[j], j < j_hi, j > j_lo, occ)
         if bad is not None:
             return bad
     return None
@@ -524,7 +534,7 @@ def _first_point_occupied(d, j, desc) -> Point:
     return Point(j, seg.min_offset if seg.min_offset is not None else 0)
 
 
-def _segment_interval_violation(d, j, v, desc, need_final, need_initial):
+def _segment_interval_violation(d, j, v, desc, need_final, need_initial, occ):
     """Check one vertex's occurrence within one segment: an interval, pinned
     to the top when the vertex continues rightward, to the bottom when it
     continues leftward."""
@@ -535,29 +545,29 @@ def _segment_interval_violation(d, j, v, desc, need_final, need_initial):
         return _residue_gap_example(d, j, v, desc[1])
     offs = desc[1]
     if len(offs) > 1 and offs[-1] - offs[0] + 1 != len(offs):
-        return (v,) + _gap_counterexample(j, list(offs))
+        return (v,) + _gap_counterexample(j, offs)
     if need_final:
         if seg.max_offset is None or offs[-1] != seg.max_offset:
-            t = _next_occurrence_point(d, j, v)
+            t = _next_occurrence_point(d, j, v, occ)
             return (v, Point(j, offs[-1]), Point(j, offs[-1] + 1), t)
     if need_initial:
         if seg.min_offset is None or offs[0] != seg.min_offset:
-            r = _prev_occurrence_point(d, j, v)
+            r = _prev_occurrence_point(d, j, v, occ)
             return (v, r, Point(j, offs[0] - 1), Point(j, offs[0]))
     return None
 
 
-def _next_occurrence_point(d, j, v) -> Point:
+def _next_occurrence_point(d, j, v, occ) -> Point:
     for j2 in range(j + 1, len(d.line.segments)):
-        desc = occurrence_in_segment(d, j2, v)
+        desc = _occurrence_in_segment(d, j2, v, occ)
         if desc[0] != "none":
             return _first_point_occupied(d, j2, desc)
     raise AssertionError("caller guarantees a later occurrence")
 
 
-def _prev_occurrence_point(d, j, v) -> Point:
+def _prev_occurrence_point(d, j, v, occ) -> Point:
     for j2 in range(j - 1, -1, -1):
-        desc = occurrence_in_segment(d, j2, v)
+        desc = _occurrence_in_segment(d, j2, v, occ)
         if desc[0] != "none":
             return _last_point_occupied(d, j2, desc)
     raise AssertionError("caller guarantees an earlier occurrence")
@@ -577,6 +587,10 @@ def limit_vertices(d: Decomposition, side: Side) -> Bag:
 
 
 def verify(d: Decomposition) -> VerificationReport:
+    """Check betweenness and the designated limit vertices; a betweenness
+    counterexample names the least failing vertex.  Finite segments cost
+    O(B + V*S): one pass over the B vertex slots of their bags, then one
+    lookup per candidate vertex and segment.  Periodic ones use templates."""
     w = width(d)
     bad = _betweenness_counterexample(d)
     if bad is not None:

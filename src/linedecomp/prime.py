@@ -65,7 +65,7 @@ def is_prime(d: Decomposition) -> bool:
         raise ValueError("primality is only defined for valid decompositions")
     if tidy(d) != d:
         return False
-    return _splits_all_distinct(d)
+    return splits_all_distinct(d)
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,11 @@ def _families_collide(a: _Family, b: _Family) -> bool:
     return delta % math.gcd(abs(a.step), abs(b.step)) == 0
 
 
-def _splits_all_distinct(d: Decomposition) -> bool:
-    """No split is empty and none occurs at two cuts.  On a finite line the
-    split window holds every cut and there are no infinite reaches."""
+def splits_all_distinct(d: Decomposition) -> bool:
+    """No split is empty and none occurs at two cuts: `is_prime` without its
+    checks.  Precondition: d verifies and is tidy (the caller has checked
+    both).  On a finite line the split window holds every cut and there are
+    no infinite reaches."""
     sa = analyze_splits(d)
     cuts: dict[Cut, Bag] = dict(zip(sa.window_cuts, sa.window_splits))
     if any(not s for s in cuts.values()):

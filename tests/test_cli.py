@@ -6,6 +6,8 @@ import json
 import pytest
 
 import linedecomp.cli
+import linedecomp.prime
+import linedecomp.wo
 from linedecomp.cli import (
     DocumentError,
     emit_document,
@@ -294,13 +296,31 @@ def test_check_reports_a_wide_band_prime(tmp_path, capsys):
     assert out == "width 4, tidy, prime\n"
 
 
+def test_check_verifies_and_tidies_once(tmp_path, capsys, monkeypatch):
+    calls = {"verify": 0, "tidy": 0}
+
+    def counting(name, fn):
+        def wrapper(d):
+            calls[name] += 1
+            return fn(d)
+        return wrapper
+
+    for module in (linedecomp.cli, linedecomp.prime, linedecomp.wo):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    path = save(tmp_path, emit_document(witness_family(4)))
+    code, out, _ = run(capsys, "check", path)
+    assert (code, out) == (0, "width 4, tidy, prime\n")
+    assert calls == {"verify": 1, "tidy": 1}
+
+
 def test_check_skips_prime_when_out_of_scope(tmp_path, capsys, monkeypatch):
     # no tidy input is known that the split analysis refuses, so primality
     # is refused by hand; check still reports everything it can decide
     def refuse(d):
         raise UnsupportedScopeError("splits do not stabilize")
 
-    monkeypatch.setattr(linedecomp.cli, "is_prime", refuse)
+    monkeypatch.setattr(linedecomp.cli, "splits_all_distinct", refuse)
     path = save(tmp_path, emit_document(witness_family(4)))
     code, out, _ = run(capsys, "check", path)
     assert code == 0

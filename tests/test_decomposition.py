@@ -7,6 +7,7 @@ both apply.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,7 +54,7 @@ from linedecomp.decomposition import (
     verify,
     width,
 )
-from linedecomp.oracle import materialize
+from linedecomp.oracle import materialize, random_decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +236,63 @@ def test_verify_matches_brute_force(bags):
     assert rep.betweenness_ok == brute_betweenness_ok(bags)
     if not rep.betweenness_ok:
         assert_counterexample_sound(d, rep)
+
+
+@st.composite
+def finite_segments(draw):
+    """Random bags over statics and mobiles, cut into 1-4 fin segments."""
+    n = draw(st.integers(1, 10))
+    verts = [V("u"), V("v")] + [V("v", i) for i in range(-1, 4)]
+    bags = [frozenset(draw(st.sets(st.sampled_from(verts), min_size=1, max_size=4)))
+            for _ in range(n)]
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    bounds = [0] + cuts + [n]
+    d = Decomposition(Line.of(*(fin(b - a) for a, b in zip(bounds, bounds[1:]))),
+                      tuple(ExplicitBags(tuple(bags[a:b]))
+                            for a, b in zip(bounds, bounds[1:])))
+    return d, bags
+
+
+@given(finite_segments())
+def test_verify_names_the_least_failing_vertex_across_finite_segments(case):
+    d, bags = case
+    failing = set()
+    for v in set().union(*bags):
+        offs = [i for i, b in enumerate(bags) if v in b]
+        if offs[-1] - offs[0] + 1 != len(offs):
+            failing.add(v)
+    rep = verify(d)
+    assert rep.betweenness_ok == (not failing)
+    if failing:
+        assert rep.counterexample[0] == min(failing)
+        assert_counterexample_sound(d, rep)
+
+
+class CountingBags(tuple):
+    """A bag tuple that counts the bags read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        out = super().__getitem__(i)
+        self.reads += len(out) if isinstance(i, slice) else 1
+        return out
+
+    def __iter__(self):
+        for b in super().__iter__():
+            self.reads += 1
+            yield b
+
+
+@pytest.mark.parametrize("max_bag", [2, 6])
+def test_verify_reads_each_bag_a_bounded_number_of_times(max_bag):
+    chain = random_decomposition(random.Random(400), bags=400, max_bag=max_bag)
+    bags = CountingBags(chain.templates[0].bags)
+    d = Decomposition(chain.line, (ExplicitBags(bags),))
+    bags.reads = 0
+    assert verify(d).ok
+    # a bounded number of passes, however many vertices the bags hold
+    assert bags.reads <= 4 * len(bags)
 
 
 @given(arbitrary_bags())
