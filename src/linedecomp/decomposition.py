@@ -34,6 +34,7 @@ from linedecomp.line import (
     normalize_cut,
     point_just_above_cut,
     point_just_below_cut,
+    reverse_line,
     segment_above_cut,
     segment_below_cut,
 )
@@ -631,17 +632,15 @@ def boundary_split(d: Decomposition, c: Cut) -> Bag:
 
 
 def reverse_decomposition(d: Decomposition) -> Decomposition:
-    segs = []
     temps = []
-    for seg, t in zip(reversed(d.line.segments), reversed(d.templates)):
-        segs.append(seg.reversed())
+    for t in reversed(d.templates):
         if isinstance(t, ExplicitBags):
             temps.append(ExplicitBags(tuple(reversed(t.bags))))
         else:
             p = t.period
             res = tuple(shift_set(t.residues[p - 1 - r], -t.stride) for r in range(p))
             temps.append(PeriodicBags(p, res, -t.stride, t.constant))
-    return Decomposition(Line(tuple(segs)), tuple(temps), d.z2, d.z1)
+    return Decomposition(reverse_line(d.line), tuple(temps), d.z2, d.z1)
 
 
 def shift_decomposition(d: Decomposition, delta: int) -> Decomposition:

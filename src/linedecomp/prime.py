@@ -10,22 +10,14 @@ and never touch; cutting them all out leaves a prime skeleton, and each
 excised run with the repeating split removed from its bags is a tidy
 decomposition of strictly smaller width.  Iterating through the (possibly
 disconnected) remainders gives a factorization tree whose depth is bounded
-by the width and whose leaves are prime.
-
-Primality of a periodic presentation is decided the way splits are handled
-everywhere else: evaluate every cut inside a window sized so that behavior
-beyond it is forced, then reason about the finitely many marching families.
-Deep enough, the mobile part of a family sits beyond every other index in
-play, so two families drifting the same way collide somewhere if and only
-if their fixed parts agree and their mobile parts differ by a uniform index
-shift that the two block strides can jointly realize.  That last condition
-is a divisibility check.
+by the width and whose leaves are prime.  On a periodic presentation the
+split families of `splits` decide beyond the window whether a split
+repeats.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -46,7 +38,6 @@ from linedecomp.decomposition import (
     Decomposition,
     ExplicitBags,
     boundary_split,
-    shift_set,
     slice_between,
     tidy,
     verify,
@@ -68,105 +59,30 @@ def is_prime(d: Decomposition) -> bool:
     return splits_all_distinct(d)
 
 
-@dataclass(frozen=True)
-class _Family:
-    """One alignment class of splits marching off along an infinite reach."""
-
-    segment: int
-    direction: int  # +1 marching toward larger offsets, -1 toward smaller
-    offset: int  # cut offset of the first block past the window
-    period: int
-    fixed: Bag
-    mobile: Bag  # nonempty, all vertices indexed
-    step: int  # index shift of the mobile part per block outward
-
-
-def _index_bound(bags, families: Sequence[_Family]) -> int:
-    out = 1
-    for b in bags:
-        for v in b:
-            if v.is_mobile:
-                out = max(out, abs(v.index))
-    for f in families:
-        for v in f.fixed | f.mobile:
-            if v.is_mobile:
-                out = max(out, abs(v.index))
-    return out
-
-
-def _uniform_shift(a: Bag, b: Bag) -> Optional[int]:
-    """The delta with shift_set(a, delta) == b, when one exists."""
-    mob_a = sorted(v for v in a if v.is_mobile)
-    mob_b = sorted(v for v in b if v.is_mobile)
-    if len(mob_a) != len(mob_b):
-        return None
-    if not mob_a:
-        return 0 if a == b else None
-    delta = mob_b[0].index - mob_a[0].index
-    return delta if shift_set(a, delta) == b else None
-
-
-def _families_collide(a: _Family, b: _Family) -> bool:
-    """Do two marching families produce the same split at two deep cuts?
-
-    Beyond the sampled blocks the mobile parts dwarf every other index, so a
-    collision forces equal fixed parts and mobile parts matched by a uniform
-    shift delta realized as a.step * i - b.step * j for some blocks i and j.
-    When both steps drift the same way, arbitrarily deep solutions exist
-    exactly when gcd(|a.step|, |b.step|) divides delta.  Opposite drifts
-    escape each other, and only the sampled blocks could ever have matched.
-    """
-    if (a.step > 0) != (b.step > 0):
-        return False
-    if a.fixed != b.fixed:
-        return False
-    delta = _uniform_shift(a.mobile, b.mobile)
-    if delta is None:
-        return False
-    return delta % math.gcd(abs(a.step), abs(b.step)) == 0
-
-
 def splits_all_distinct(d: Decomposition) -> bool:
     """No split is empty and none occurs at two cuts: `is_prime` without its
     checks.  Precondition: d verifies and is tidy (the caller has checked
     both).  On a finite line the split window holds every cut and there are
-    no infinite reaches."""
+    no infinite reaches; beyond the window the split families decide
+    repeats exactly."""
     sa = analyze_splits(d)
-    cuts: dict[Cut, Bag] = dict(zip(sa.window_cuts, sa.window_splits))
-    if any(not s for s in cuts.values()):
+    if not all(sa.window_splits):
         return False  # an empty split: the graph is disconnected
-    reaches = []
-    if sa.low is not None:
-        reaches.append((sa.low[0], -1, sa.low[2]))
-    if sa.high is not None:
-        reaches.append((sa.high[0], +1, sa.high[2]))
-    reaches.extend(sa.interior_classes())
     families = []
-    for j, direction, classes in reaches:
-        t = d.templates[j]
-        for cls in classes:
-            if cls.kind == "constant":
-                return False  # the same split at every block of the reach
-            families.append(_Family(j, direction, cls.offset, t.period,
-                                    cls.fixed, cls.mobile,
-                                    t.stride * direction))
-    # Sample enough blocks concretely that any collision involving one of
-    # them lands inside the sample: past `blocks`, a family's mobile indices
-    # outgrow everything a sampled split can contain.
-    bound = _index_bound(cuts.values(), families)
-    widest = max((abs(f.step) for f in families), default=1)
-    blocks = 2 * bound + widest * (2 * bound + 2) + 2
-    for f in families:
-        for b in range(blocks + 1):
-            c = Cut(f.segment, CutPosition.AFTER_OFFSET,
-                    f.offset + f.direction * f.period * b)
-            if c in cuts:
-                continue  # the window already evaluated this cut
-            cuts[c] = f.fixed | shift_set(f.mobile, f.step * b)
-    if len(set(cuts.values())) != len(cuts):
+    for f in itertools.chain(sa.low or (), sa.high or (), sa.interior_classes()):
+        if not f.mobile:
+            return False  # the same split at every block of the reach
+        families.append(f)
+    where = dict(zip(sa.window_splits, sa.window_cuts))
+    if len(where) != len(sa.window_cuts):
         return False
-    return not any(_families_collide(a, b)
-                   for a, b in itertools.combinations(families, 2))
+    for f in families:
+        for s, c in where.items():
+            # an interior family's block 0 may be this very window cut
+            b = f.meets(s)
+            if b is not None and f.cut(b) != c:
+                return False
+    return not any(a.collides(b) for a, b in itertools.combinations(families, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ periodic segment the split at a cut one period further out is obtained from
 the current one by a fixed rule: either it is identical (a constant family)
 or the mobile part shifts by the stride (a marching family).  The window is
 sized so that all irregular behavior (finite segments, pinned-vertex
-collisions, vertices shared between segments) is inside it; the rule is then
-checked on several consecutive blocks before being extrapolated.
+collisions, vertices shared between segments) is inside it, so beyond it
+each alignment class is one SplitFamily, and questions about repeated
+splits are answered by arithmetic on the families.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -119,35 +122,138 @@ def split_budget(d: Decomposition) -> int:
 # Behaviour beyond the window
 
 
+def _uniform_shift(a: Bag, b: Bag) -> Optional[int]:
+    """The delta with shift_set(a, delta) == b, when one exists."""
+    mob_a = sorted(v for v in a if v.is_mobile)
+    mob_b = sorted(v for v in b if v.is_mobile)
+    if len(mob_a) != len(mob_b):
+        return None
+    if not mob_a:
+        return 0 if a == b else None
+    delta = mob_b[0].index - mob_a[0].index
+    return delta if shift_set(a, delta) == b else None
+
+
+def _drifts_reach(a: int, b: int, delta: int) -> bool:
+    """Is a*i - b*j == delta for some blocks i, j >= 0?  a and b are
+    nonzero unless delta is 0."""
+    if delta == 0:
+        return True
+    if (a > 0) == (b > 0):
+        # i and j can both grow along the solution line a*i - b*j = delta
+        return delta % math.gcd(a, b) == 0
+    if (delta > 0) != (a > 0):
+        return False
+    delta, a, b = abs(delta), abs(a), abs(b)  # a*i + b*j == delta
+    return any((delta - b * j) % a == 0 for j in range(delta // b + 1))
+
+
 @dataclass(frozen=True)
-class _DeepClass:
-    kind: str  # "constant" | "marching"
-    offset: int  # cut offset of this alignment class at the edge block
+class SplitFamily:
+    """One alignment class of splits beyond the window of an infinite reach:
+    at block b >= 0 the cut sits b periods past `offset` in `direction`,
+    and the split is `fixed` plus `mobile` shifted by step * b.  A constant
+    family has no mobile part; a marching one has indexed mobile vertices
+    and a nonzero step.
+
+    Invariant (argued by _classify_deep): from block 0 on, the shifted
+    mobile part never lands on a fixed vertex.  So a bag is the split at
+    block b exactly when it holds the fixed part and the rest is the mobile
+    part shifted by step * b (meets).  Two families share a split either
+    where one's mobile part runs into the other's fixed part, at finitely
+    many blocks found by divisibility, or with equal fixed parts and mobile
+    parts a uniform shift delta = step_a * i - step_b * j apart, i, j >= 0:
+    a gcd test for steps drifting the same way, a bounded search for steps
+    drifting apart (collides).  No block is sampled.
+    """
+
+    segment: int
+    direction: int  # +1 marching toward larger offsets, -1 toward smaller
+    offset: int  # cut offset at block 0, at the edge of the window
+    period: int
+    step: int  # index shift of the mobile part per block
     fixed: Bag
-    mobile: Bag  # empty for constant classes
+    mobile: Bag
 
     @property
     def size(self) -> int:
-        return len(self.fixed | self.mobile)
+        return len(self.fixed) + len(self.mobile)
+
+    def at(self, b: int) -> Bag:
+        """The split at block b."""
+        return self.fixed | shift_set(self.mobile, self.step * b)
+
+    def cut(self, b: int) -> Cut:
+        """The cut at block b."""
+        return Cut(self.segment, CutPosition.AFTER_OFFSET,
+                   self.offset + self.direction * self.period * b)
+
+    def meets(self, bag: Bag) -> Optional[int]:
+        """The first block whose split is bag, or None.  A constant family
+        meets its split at every block, a marching one at one block only."""
+        if len(bag) != self.size or not self.fixed <= bag:
+            return None
+        if not self.mobile:
+            return 0
+        delta = _uniform_shift(self.mobile, bag - self.fixed)
+        if delta is None or delta % self.step:
+            return None
+        b = delta // self.step
+        return b if b >= 0 else None
+
+    def _blocks_onto(self, bag: Bag) -> Iterator[int]:
+        """The blocks where the shifted mobile part takes a vertex of bag."""
+        for w in self.mobile:
+            for v in bag:
+                if v.is_mobile and v.tag == w.tag:
+                    b, r = divmod(v.index - w.index, self.step)
+                    if r == 0 and b >= 0:
+                        yield b
+
+    def collides(self, other: "SplitFamily") -> bool:
+        """Do the two families produce one split, at blocks i, j >= 0?"""
+        for f, g in ((self, other), (other, self)):
+            if any(g.meets(f.at(b)) is not None for b in f._blocks_onto(g.fixed)):
+                return True
+        # elsewhere neither mobile part touches the other fixed part, so a
+        # common split has equal fixed parts and equal mobile parts
+        if self.fixed != other.fixed:
+            return False
+        delta = _uniform_shift(self.mobile, other.mobile)
+        return delta is not None and _drifts_reach(self.step, other.step, delta)
 
 
 def _classify_deep(d: Decomposition, j: int, direction: int,
-                   base: int) -> list[_DeepClass]:
+                   base: int) -> tuple[SplitFamily, ...]:
     """How splits behave marching outward from the window edge of segment j.
 
     Evaluates one full period of alignment classes at the edge block and the
     three blocks beyond it, and fits each class to a constant or marching
-    rule.  Anything else cannot be numbered by an integer interval, so it is
-    rejected as out of scope rather than mis-indexed.
+    family.  Anything else cannot be numbered by an integer interval, so it
+    is rejected as out of scope rather than mis-indexed.
 
     A marching class's fixed part is read off the template, not off the
     samples: the vertices the shift leaves alone are the statics and the
     segment constant.  Every other vertex of the split moves one stride per
     block, however many consecutive samples it happens to sit in (a split
     of size m that marches one index per block keeps a vertex for m blocks).
+
+    Why the samples suffice: both bags at a cut past the window are
+    template bags, so the split at block b is exactly C | shift(Y, step * b)
+    for the segment constant C and the split's moving part Y at block 0.
+    That is the family formula unless a moving vertex coincides with an
+    indexed vertex of C, which happens only in block (c.index - w.index) /
+    stride for residue vertex w and constant vertex c.  _template_reach
+    stretches the reach past that many periods, and split_budget places
+    block 0 at least twice the reach out, so it never happens from block 0
+    on: that is the family invariant, and two samples would tell constant
+    from marching.  The four samples and the three-step guard
+    re-check the formula; a refusal from them means the sizing missed a
+    coincidence.
     """
     t = d.templates[j]
     p = t.period
+    step = t.stride * direction
     out = []
     for a in range(p):
         off = base + direction * a
@@ -155,27 +261,16 @@ def _classify_deep(d: Decomposition, j: int, direction: int,
                                     off + direction * p * i))
               for i in range(4)]
         if ss[0] == ss[1] == ss[2] == ss[3]:
-            out.append(_DeepClass("constant", off, ss[0], frozenset()))
+            out.append(SplitFamily(j, direction, off, p, step, ss[0], frozenset()))
             continue
         fixed = frozenset(v for v in ss[0] if v.is_static or v in t.constant)
-        step = t.stride * direction
         if all(ss[i + 1] == fixed | shift_set(ss[i] - fixed, step)
                for i in range(3)):
-            out.append(_DeepClass("marching", off, fixed, ss[0] - fixed))
+            out.append(SplitFamily(j, direction, off, p, step, fixed, ss[0] - fixed))
         else:
             raise UnsupportedScopeError(
                 f"splits do not stabilize beyond the window in segment {j}")
-    return out
-
-
-@dataclass(frozen=True)
-class _Tail:
-    """An infinite family of indexed splits marching off one end of the line."""
-
-    segment: int
-    period: int
-    step: int  # shift applied to the mobile part per block, marching outward
-    entries: tuple[_DeepClass, ...]  # size-m marching classes, window-side first
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -185,15 +280,16 @@ class MinSplitIndexing:
 
     K is [lo, hi] with None for an unbounded end.  Window entries carry all
     their witness cuts inside the evaluation window; tail entries are
-    generated on demand from the marching rule.
+    generated on demand from the marching families of size m, which take
+    turns block by block, window-side first.
     """
 
     m: Optional[int]
     lo: Optional[int]
     hi: Optional[int]
     window: tuple[Split, ...]
-    low_tail: Optional[_Tail]
-    high_tail: Optional[_Tail]
+    low_tail: Optional[tuple[SplitFamily, ...]]
+    high_tail: Optional[tuple[SplitFamily, ...]]
     note: str = ""
 
     def in_range(self, i: int) -> bool:
@@ -212,18 +308,13 @@ class MinSplitIndexing:
         if 0 <= i < wn:
             return self.window[i]
         if i < 0 and self.low_tail is not None:
-            return self._tail_split(self.low_tail, -i - 1, -1)
-        if i >= wn and self.high_tail is not None:
-            return self._tail_split(self.high_tail, i - wn, +1)
-        raise IndexError(f"index {i} is outside K")
-
-    def _tail_split(self, tail: _Tail, u: int, direction: int) -> Split:
-        blk, r = divmod(u, len(tail.entries))
-        e = tail.entries[r]
-        verts = e.fixed | shift_set(e.mobile, tail.step * blk)
-        cut = Cut(tail.segment, CutPosition.AFTER_OFFSET,
-                  e.offset + direction * tail.period * blk)
-        return Split(verts, (cut,))
+            tail, u = self.low_tail, -i - 1
+        elif i >= wn and self.high_tail is not None:
+            tail, u = self.high_tail, i - wn
+        else:
+            raise IndexError(f"index {i} is outside K")
+        blk, r = divmod(u, len(tail))
+        return Split(tail[r].at(blk), (tail[r].cut(blk),))
 
 
 @dataclass(frozen=True)
@@ -242,8 +333,6 @@ class SplitBounds:
 # ---------------------------------------------------------------------------
 # The analysis of one decomposition
 
-_Reach = tuple[int, int, tuple[_DeepClass, ...]]  # (segment, base, classes)
-
 
 @dataclass(frozen=True)
 class SplitAnalysis:
@@ -251,7 +340,9 @@ class SplitAnalysis:
     past both ends of the line.  Build it with analyze_splits and ask it as
     many questions as needed: the window is evaluated once.
 
-    The classes of the interior infinite reaches are not part of it.  Each
+    low and high hold the families of the reaches running off the ends of
+    the line, one per alignment class in offset order from the window edge.
+    The families of the interior infinite reaches are not part of it.  Each
     method that needs them classifies them as it goes, so a reach that is
     out of scope is refused by the question that looks at it, not by the
     construction.  m is the minimum split size, None when there are no cuts.
@@ -261,13 +352,14 @@ class SplitAnalysis:
     budget: int
     window_cuts: tuple[Cut, ...]
     window_splits: tuple[Bag, ...]
-    low: Optional[_Reach]
-    high: Optional[_Reach]
+    low: Optional[tuple[SplitFamily, ...]]
+    high: Optional[tuple[SplitFamily, ...]]
     m: Optional[int]
 
-    def interior_classes(self) -> Iterator[tuple[int, int, list[_DeepClass]]]:
-        """(segment, direction, classes) for every infinite reach that does
-        not run off an end of the line, classified one reach at a time."""
+    def interior_classes(self) -> Iterator[SplitFamily]:
+        """The families of every infinite reach that does not run off an end
+        of the line, classified one reach at a time.  A reach's block 0
+        starts at the segment's outermost window cut."""
         n = len(self.d.line.segments)
         b = self.budget
         for j, seg in enumerate(self.d.line.segments):
@@ -282,7 +374,7 @@ class SplitAnalysis:
                 if j < n - 1:
                     reaches.append((+1, b))
             for direction, base in reaches:
-                yield j, direction, _classify_deep(self.d, j, direction, base)
+                yield from _classify_deep(self.d, j, direction, base)
 
     def min_splits(self) -> MinSplitIndexing:
         m = self.m
@@ -303,8 +395,8 @@ class SplitAnalysis:
         catalogue = {s for s, _ in entries}
 
         self._interior_deep_guard(catalogue)
-        low_tail = self._edge_tail(self.low, catalogue, -1) if self.low else None
-        high_tail = self._edge_tail(self.high, catalogue, +1) if self.high else None
+        low_tail = self._edge_tail(self.low, catalogue) if self.low else None
+        high_tail = self._edge_tail(self.high, catalogue) if self.high else None
 
         lo = None if low_tail else 0
         hi = None if high_tail else len(window) - 1
@@ -312,25 +404,23 @@ class SplitAnalysis:
 
     def _interior_deep_guard(self, catalogue: set[Bag]) -> None:
         """Interior infinite reaches may only repeat window splits at size m."""
-        for _, _, classes in self.interior_classes():
-            for cls in classes:
-                if cls.size != self.m:
-                    continue
-                if cls.kind == "marching":
-                    raise UnsupportedScopeError(
-                        "minimum splits march in an interior segment; "
-                        "their order cannot be numbered by integers")
-                if cls.fixed not in catalogue:
-                    raise UnsupportedScopeError(
-                        "an interior constant split family does not match "
-                        "any window split")
+        for f in self.interior_classes():
+            if f.size != self.m:
+                continue
+            if f.mobile:
+                raise UnsupportedScopeError(
+                    "minimum splits march in an interior segment; "
+                    "their order cannot be numbered by integers")
+            if f.fixed not in catalogue:
+                raise UnsupportedScopeError(
+                    "an interior constant split family does not match "
+                    "any window split")
 
-    def _edge_tail(self, side: _Reach, catalogue: set[Bag],
-                   direction: int) -> Optional[_Tail]:
-        j, _, classes = side
+    def _edge_tail(self, side: tuple[SplitFamily, ...],
+                   catalogue: set[Bag]) -> Optional[tuple[SplitFamily, ...]]:
         m = self.m
-        marching = [c for c in classes if c.kind == "marching" and c.size == m]
-        constant = [c for c in classes if c.kind == "constant" and c.size == m]
+        marching = tuple(f for f in side if f.mobile and f.size == m)
+        constant = [f for f in side if not f.mobile and f.size == m]
         if marching and constant:
             raise UnsupportedScopeError(
                 "a constant and a marching family of minimum splits share one "
@@ -342,33 +432,30 @@ class SplitAnalysis:
                     "window split")
         if not marching:
             return None
-        t = self.d.templates[j]
-        step = t.stride * direction
-        seen: set[Bag] = set()
-        for blk in range(4):
-            for cls in marching:
-                s = cls.fixed | shift_set(cls.mobile, step * blk)
-                if s in seen:
-                    raise UnsupportedScopeError(
-                        "two marching witness families generate a common split; "
-                        "the numbering would list one entry twice")
-                seen.add(s)
-        return _Tail(j, t.period, step, tuple(marching))
+        if any(a.collides(b) for a, b in itertools.combinations(marching, 2)):
+            raise UnsupportedScopeError(
+                "two marching witness families generate a common split; "
+                "the numbering would list one entry twice")
+        # block 0 lies past the window here, so any meeting is a repeat
+        if any(f.meets(s) is not None for f in marching for s in catalogue):
+            raise UnsupportedScopeError(
+                "marching witness families repeat a window split; "
+                "the numbering would list one entry twice")
+        return marching
 
     def empty_cuts(self) -> list[Cut]:
         """All cuts with empty split, in line order.  These chop the graph
         into its connected pieces.  Raises when they run into an infinite
         reach, since the pieces can then not be listed one by one."""
         for side in (self.low, self.high):
-            if side and any(cls.size == 0 for cls in side[2]):
+            if side and any(f.size == 0 for f in side):
                 raise UnsupportedScopeError(
                     "empty splits repeat forever toward an end of the line; "
                     "the connected pieces cannot be enumerated")
-        for _, _, classes in self.interior_classes():
-            if any(cls.size == 0 for cls in classes):
-                raise UnsupportedScopeError(
-                    "empty splits repeat forever inside the line; the connected "
-                    "pieces cannot be enumerated")
+        if any(f.size == 0 for f in self.interior_classes()):
+            raise UnsupportedScopeError(
+                "empty splits repeat forever inside the line; the connected "
+                "pieces cannot be enumerated")
         return [c for c, s in zip(self.window_cuts, self.window_splits) if not s]
 
     def bounds(self, s: Split) -> SplitBounds:
@@ -380,22 +467,22 @@ class SplitAnalysis:
             raise ValueError("split is not of minimum size")
 
         wit = normalize_cut(d.line, s.witness_cuts[0])
-        for side, direction in ((self.low, -1), (self.high, +1)):
+        for side in (self.low, self.high):
             if side is None:
                 continue
-            j, base, classes = side
-            deep = (wit.segment == j and wit.position is CutPosition.AFTER_OFFSET
-                    and (wit.offset <= base if direction < 0 else wit.offset >= base))
-            if deep:
-                cls = classes[(direction * (wit.offset - base)) % len(classes)]
-                if cls.kind == "constant":
-                    continue  # merges with the window witnesses below
-                # a marching tail member: all its witnesses sit near this block
-                p = d.templates[j].period
-                local = _scan_local(d, s.vertices, j, wit.offset, 2 * p + 1)
-                if not local:
-                    raise ValueError("the given cut does not witness this split")
-                return SplitBounds(local[0], local[-1])
+            edge = side[0]
+            if (wit.segment != edge.segment
+                    or wit.position is not CutPosition.AFTER_OFFSET):
+                continue
+            blk, r = divmod(edge.direction * (wit.offset - edge.offset), len(side))
+            if blk < 0 or not side[r].mobile:
+                continue  # in the window, or merges with its witnesses below
+            # a marching tail member: min_splits refuses a family that meets
+            # a window split or another family, and one family never repeats
+            # a split, so its cut at this block is its only witness
+            if side[r].at(blk) != s.vertices:
+                raise ValueError("the given cut does not witness this split")
+            return SplitBounds(wit, wit)
 
         ws = [c for c, b in zip(self.window_cuts, self.window_splits)
               if b == s.vertices]
@@ -405,8 +492,7 @@ class SplitAnalysis:
         lower: Union[Cut, Side] = ws[0]
         upper: Union[Cut, Side] = ws[-1]
         if self.low is not None:
-            if any(c.kind == "constant" and c.fixed == s.vertices
-                   for c in self.low[2]):
+            if any(not f.mobile and f.fixed == s.vertices for f in self.low):
                 if s.vertices != limit_vertices(d, Side.LEFT):
                     raise UnsupportedScopeError(
                         "witnesses descend forever but the split is not the "
@@ -414,8 +500,7 @@ class SplitAnalysis:
                         "decomposition")
                 lower = Side.LEFT
         if self.high is not None:
-            if any(c.kind == "constant" and c.fixed == s.vertices
-                   for c in self.high[2]):
+            if any(not f.mobile and f.fixed == s.vertices for f in self.high):
                 if s.vertices != limit_vertices(d, Side.RIGHT):
                     raise UnsupportedScopeError(
                         "witnesses ascend forever but the split is not the "
@@ -435,16 +520,16 @@ def analyze_splits(d: Decomposition) -> SplitAnalysis:
     first, last = line.segments[0], line.segments[-1]
     if first.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA):
         base = -budget - 1 if first.kind is SegmentKind.OMEGA_STAR else -budget
-        low = (0, base, tuple(_classify_deep(d, 0, -1, base)))
+        low = _classify_deep(d, 0, -1, base)
     if last.kind in (SegmentKind.OMEGA, SegmentKind.ZETA):
-        high = (n - 1, budget, tuple(_classify_deep(d, n - 1, +1, budget)))
+        high = _classify_deep(d, n - 1, +1, budget)
 
     def in_deep(c: Cut) -> bool:
         if c.position is not CutPosition.AFTER_OFFSET:
             return False
-        if low and c.segment == low[0] and c.offset <= low[1]:
+        if low and c.segment == 0 and c.offset <= low[0].offset:
             return True
-        if high and c.segment == high[0] and c.offset >= high[1]:
+        if high and c.segment == n - 1 and c.offset >= high[0].offset:
             return True
         return False
 
@@ -465,16 +550,6 @@ def empty_split_cuts(d: Decomposition) -> list[Cut]:
 
 def split_bounds(d: Decomposition, s: Split) -> SplitBounds:
     return analyze_splits(d).bounds(s)
-
-
-def _scan_local(d: Decomposition, s: Bag, j: int, center: int,
-                radius: int) -> list[Cut]:
-    out = []
-    for o in range(center - radius, center + radius + 1):
-        c = Cut(j, CutPosition.AFTER_OFFSET, o)
-        if boundary_split(d, c) == s:
-            out.append(c)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -367,7 +367,7 @@ def _split_off_lower_part(a: SplitAnalysis, idx: MinSplitIndexing) -> list[_Piec
     d = a.d
     candidates = [sp for sp in idx.window if d.z1 <= sp.vertices]
     if idx.low_tail is not None:
-        for u in range(len(idx.low_tail.entries)):
+        for u in range(len(idx.low_tail)):
             sp = idx.split(-1 - u)
             if d.z1 <= sp.vertices:
                 candidates.append(sp)
@@ -449,16 +449,16 @@ def _replicated_tail(a: SplitAnalysis, idx: MinSplitIndexing,
     d = a.d
     tail = idx.high_tail
     wn = len(idx.window)
-    fixed_all = frozenset.intersection(*(e.fixed for e in tail.entries))
+    fixed_all = frozenset.intersection(*(f.fixed for f in tail))
     if not d.z2 <= fixed_all:
         raise ValueError("designated right-limit vertices escape the "
                          "marching minimum splits")
-    count = len(tail.entries)
+    count = len(tail)
     marching = [idx.split(wn + u) for u in range(count + 1)]
     marks = marks + [(sp.vertices, a.bounds(sp)) for sp in marching]
     steps = _pieces_along(d, marks)
-    return steps[:2 * wn] + [partial(_replicate, d, steps[2 * wn:], tail.segment,
-                                     tail.step, marching[0].vertices)]
+    return steps[:2 * wn] + [partial(_replicate, d, steps[2 * wn:], tail[0].segment,
+                                     tail[0].step, marching[0].vertices)]
 
 
 def _replicate(d: Decomposition, block: list[_Piece], segment: int, step: int,

@@ -1,6 +1,7 @@
 """Module layering: no module of the package imports another's private
-helpers.  A name that one module needs from another is public there, and
-each public name is defined by one module only."""
+helpers.  A name that one module needs from another is public there, each
+public name is defined by one module only, and each is either used within
+the package or exported by it."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,39 @@ def test_public_names_are_defined_once():
     assert where
     twice = {name: files for name, files in where.items() if len(files) > 1}
     assert not twice, twice
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Every name a module uses other than at a definition: loads of a
+    name, attribute reads, and names imported from another module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _exported_names() -> set[str]:
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("linedecomp.__all__ is not a literal list")
+
+
+def test_every_public_name_has_a_caller():
+    """A public top-level def or class is used somewhere in src/ or is
+    part of the package's exported API; anything else is dead code."""
+    files = sorted(SRC.glob("*.py"))
+    used = set().union(*(_referenced_names(f) for f in files
+                         if f.name != "__init__.py"))
+    exported = _exported_names()
+    unused = [f"{f.name}: {name}" for f in files for name in _public_definitions(f)
+              if name not in used and name not in exported]
+    assert not unused, "\n".join(unused)

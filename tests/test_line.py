@@ -15,6 +15,7 @@ from linedecomp.line import (
     UnsupportedScopeError,
     all_points,
     check_cut,
+    check_point,
     compare_cuts,
     compare_points,
     count_points_between,
@@ -28,14 +29,57 @@ from linedecomp.line import (
     omega,
     omega_star,
     ordinal_line,
-    point_in_cut,
     point_just_above_cut,
     point_just_below_cut,
-    reverse_cut,
     reverse_line,
-    reverse_point,
+    segment_above_cut,
     zeta,
 )
+
+# ---------------------------------------------------------------------------
+# oracles: membership and reversal of points and cuts, spelled out from the
+# definitions.  The library needs neither; the tests below check the cut
+# machinery against them.
+
+
+def point_in_cut(line: Line, p: Point, c: Cut) -> bool:
+    """Is point ``p`` inside the initial interval named by ``c``?"""
+    check_point(line, p)
+    check_cut(line, c)
+    if p.segment != c.segment:
+        return p.segment < c.segment
+    if c.position is CutPosition.BEFORE_SEGMENT:
+        return False
+    if c.position is CutPosition.AFTER_SEGMENT:
+        return True
+    return p.offset <= c.offset
+
+
+def reverse_offset(seg: Segment, i: int) -> int:
+    if seg.kind is SegmentKind.FIN:
+        return seg.length - 1 - i
+    # omega <-> omega*, zeta -> zeta: mirror through -1/2
+    return -i - 1
+
+
+def reverse_point(line: Line, p: Point) -> Point:
+    check_point(line, p)
+    seg = line.segments[p.segment]
+    return Point(len(line.segments) - 1 - p.segment, reverse_offset(seg, p.offset))
+
+
+def reverse_cut(line: Line, c: Cut) -> Cut:
+    """Image of a cut under reversal: the complement, read backwards."""
+    check_cut(line, c)
+    rev = reverse_line(line)
+    above = point_just_above_cut(line, c)
+    if above is not None:
+        out = cut_after_point(rev, reverse_point(line, above))
+        assert out is not None  # complement of a nonempty interval is proper
+        return out
+    j_open = segment_above_cut(line, c)
+    return Cut(len(line.segments) - 1 - j_open, CutPosition.AFTER_SEGMENT)
+
 
 # ---------------------------------------------------------------------------
 # strategies

@@ -34,9 +34,6 @@ from linedecomp.oracle import random_decomposition, witness_family
 from linedecomp.prime import (
     FactorTree,
     SubstitutionPlan,
-    _Family,
-    _families_collide,
-    _uniform_shift,
     compose_tree,
     concat_components,
     factor,
@@ -45,6 +42,7 @@ from linedecomp.prime import (
     split_components,
     substitute,
 )
+from linedecomp.splits import SplitFamily
 from linedecomp.wo import to_wo, vertex_universe
 
 
@@ -129,25 +127,52 @@ def test_period_two_repeat_is_not_prime():
     assert not is_prime(d)
 
 
+def test_interior_reach_path_is_prime():
+    # a path along omega, a bridge bag, and a path along a second omega; the
+    # first omega's marching family starts at the window's last cut of that
+    # segment, where it meets its own window split without repeating it
+    d = Decomposition(
+        Line.of(omega(), fin(1), omega()),
+        (PeriodicBags(1, (bag_of(("u", 0), ("u", 1)),), 1, bag_of("c")),
+         ExplicitBags((bag_of("c", ("v", 0)),)),
+         PeriodicBags(1, (bag_of(("v", 0), ("v", 1)),), 1)))
+    assert is_prime(d)
+
+
+def family_of(*vs, step=1):
+    """The family whose block-0 split is the given bag: statics fixed,
+    indexed vertices marching by step per block."""
+    b = bag_of(*vs)
+    return SplitFamily(0, +1, 0, 1, step, frozenset(v for v in b if v.is_static),
+                       frozenset(v for v in b if v.is_mobile))
+
+
 def test_uniform_shift_helper():
-    assert _uniform_shift(bag_of(("v", 0), ("v", 2)), bag_of(("v", 5), ("v", 7))) == 5
-    assert _uniform_shift(bag_of(("v", 0), ("v", 2)), bag_of(("v", 5), ("v", 8))) is None
-    assert _uniform_shift(bag_of("s", ("v", 1)), bag_of("s", ("v", 4))) == 3
-    assert _uniform_shift(bag_of("s", ("v", 1)), bag_of("t", ("v", 4))) is None
-    assert _uniform_shift(bag_of("s"), bag_of("s")) == 0
-    assert _uniform_shift(bag_of("s"), bag_of("t")) is None
+    assert family_of(("v", 0), ("v", 2)).meets(bag_of(("v", 5), ("v", 7))) == 5
+    assert family_of(("v", 0), ("v", 2)).meets(bag_of(("v", 5), ("v", 8))) is None
+    assert family_of("s", ("v", 1)).meets(bag_of("s", ("v", 4))) == 3
+    assert family_of("s", ("v", 1)).meets(bag_of("t", ("v", 4))) is None
+    assert family_of("s").meets(bag_of("s")) == 0
+    assert family_of("s").meets(bag_of("t")) is None
+    # the shift must be a whole number of steps, taken forward
+    assert family_of(("v", 1), step=3).meets(bag_of(("v", 7))) == 2
+    assert family_of(("v", 1), step=2).meets(bag_of(("v", 4))) is None
+    assert family_of(("v", 4)).meets(bag_of(("v", 1))) is None
 
 
 def test_family_collision_rule():
     def fam(step, fixed=(), base=0):
-        return _Family(0, +1, 0, 1, bag_of(*fixed),
-                       bag_of(("v", base)), step)
+        return SplitFamily(0, +1, 0, 1, step, bag_of(*fixed), bag_of(("v", base)))
 
-    assert _families_collide(fam(3), fam(6, base=3))
-    assert not _families_collide(fam(2), fam(4, base=3))  # gcd 2 misses delta 3
-    assert not _families_collide(fam(3), fam(-6, base=3))  # opposite drift
-    assert not _families_collide(fam(3, fixed=("p",)), fam(3, base=1))
-    assert _families_collide(fam(1), fam(1, base=7))
+    assert fam(3).collides(fam(6, base=3))
+    assert not fam(2).collides(fam(4, base=3))  # gcd 2 misses delta 3
+    assert fam(3).collides(fam(-6, base=3))  # opposite drift, v3 at blocks 1 and 0
+    assert not fam(3).collides(fam(-6, base=-3))  # opposite drift, apart from the start
+    assert not fam(3).collides(fam(-3, base=4))  # opposite drift, crossing between steps
+    assert not fam(3, fixed=("p",)).collides(fam(3, base=1))
+    assert fam(1).collides(fam(1, base=7))
+    # a mobile part running into the other family's fixed part
+    assert SplitFamily(0, +1, 0, 1, 1, bag_of(("v", 5)), frozenset()).collides(fam(1))
 
 
 # ---------------------------------------------------------------------------

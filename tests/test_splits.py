@@ -1,8 +1,10 @@
 """Split machinery against brute-force enumeration and hand-worked cases."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linedecomp.line import (
     Cut,
@@ -34,6 +36,8 @@ from linedecomp.decomposition import (
 from linedecomp.oracle import brute_splits, random_decomposition, witness_family
 from linedecomp.splits import (
     Split,
+    SplitFamily,
+    analyze_splits,
     before,
     enumerate_min_splits,
     repeated_splits,
@@ -317,3 +321,71 @@ def test_repeated_invariants_random():
             for j in range(i + 1, len(spans)):
                 a, b = spans[i], spans[j]
                 assert a[1] < b[0] or b[1] < a[0]
+
+
+# ---------------------------------------------------------------------------
+# split families beyond the window, against brute enumeration of their blocks
+
+
+def _brute_blocks(bags):
+    """Blocks enough for any first meeting or collision to show: a meeting
+    needs a shift no longer than the index spread, and steps are short."""
+    spread = max((abs(v.index) for b in bags for v in b if v.is_mobile), default=0)
+    return 4 * spread + 16
+
+
+def _first_blocks(f, blocks):
+    """Each split of f among its first `blocks` blocks, with its first block."""
+    out = {}
+    for b in range(blocks):
+        out.setdefault(f.at(b), b)
+    return out
+
+
+def _check_against_brute(families, bags):
+    blocks = _brute_blocks([b for f in families for b in (f.fixed, f.mobile)] + bags)
+    tables = [_first_blocks(f, blocks) for f in families]
+    for f, table in zip(families, tables):
+        # the invariant: the mobile part never lands on a fixed vertex
+        assert all(len(s) == f.size for s in table)
+        for s in bags:
+            assert f.meets(s) == table.get(s)
+    for (f, tf), (g, tg) in itertools.combinations(zip(families, tables), 2):
+        assert f.collides(g) == (not tf.keys().isdisjoint(tg)), (f, g)
+
+
+_FIXED_POOL = [V("p"), V("q"), V("u", 0), V("v", 2)]
+_MOBILE_POOL = [V(tag, i) for tag in "uv" for i in range(-6, 7)]
+
+
+@st.composite
+def family_st(draw):
+    step = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    mobile = draw(st.frozensets(st.sampled_from(_MOBILE_POOL), max_size=3))
+    # keep the invariant: drop the fixed vertices the mobile part reaches
+    reached = frozenset().union(*(shift_set(mobile, step * b) for b in range(16)))
+    fixed = draw(st.frozensets(st.sampled_from(_FIXED_POOL))) - reached
+    return SplitFamily(0, +1, 0, 1, step, fixed, mobile)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(family_st(), min_size=2, max_size=3))
+def test_family_questions_match_brute_enumeration(families):
+    bags = [f.at(b) for f in families for b in (0, 1, 5)]
+    _check_against_brute(families, bags)
+
+
+def test_built_families_match_brute_enumeration(random_corpus):
+    checked = 0
+    for d in random_corpus:
+        a = analyze_splits(d)
+        try:
+            families = [*(a.low or ()), *(a.high or ()), *a.interior_classes()]
+        except UnsupportedScopeError:
+            continue
+        for f in families:
+            for b in range(6):
+                assert f.at(b) == boundary_split(d, f.cut(b))
+        _check_against_brute(families, list(a.window_splits))
+        checked += len(families)
+    assert checked > 200

@@ -395,58 +395,6 @@ def test_to_wo_rejects_zeta_apex_star():
 # to_wo: randomized postconditions
 
 
-def _random_periodic(rng):
-    kinds = [omega(), omega_star(), zeta()]
-    nseg = rng.randint(1, 3)
-    segs, temps = [], []
-    for j in range(nseg):
-        if rng.random() < 0.3 and 0 < j < nseg - 1:
-            n = rng.randint(1, 3)
-            pool = [V("p"), V("q"), V("c", 0),
-                    V("uvw"[0], rng.randint(-2, 2)),
-                    V("uvw"[nseg - 1], rng.randint(-2, 2)), V("x")]
-            bags = tuple(frozenset(rng.sample(pool, rng.randint(1, 4)))
-                         for _ in range(n))
-            segs.append(fin(n))
-            temps.append(ExplicitBags(bags))
-            continue
-        seg = rng.choice(kinds)
-        p = rng.randint(1, 2)
-        size = rng.randint(0, 2)
-        stride = p * rng.choice([1, 1, 1, -1])
-        res = tuple(
-            frozenset(V("uvw"[j], (r if stride > 0 else -r) + i)
-                      for i in range(size + 1))
-            for r in range(p))
-        const = set()
-        if rng.random() < 0.5:
-            const.add(V("p"))
-        if rng.random() < 0.25:
-            const.add(V("q"))
-        segs.append(seg)
-        temps.append(PeriodicBags(p, res, stride, frozenset(const)))
-    z1 = frozenset()
-    if rng.random() < 0.3:
-        z1 = frozenset(rng.sample([V("p"), V("q")], rng.randint(1, 2)))
-    return Decomposition(Line(tuple(segs)), tuple(temps), z1, frozenset())
-
-
-@pytest.fixture(scope="module")
-def random_corpus():
-    """The valid draws of _random_periodic (seed 5024, 420 draws) whose
-    line is not a well-order."""
-    rng = random.Random(5024)
-    out = []
-    for _ in range(420):
-        try:
-            d = _random_periodic(rng)
-        except ValueError:
-            continue
-        if not is_well_order(d.line) and verify(d).ok:
-            out.append(d)
-    return out
-
-
 def test_to_wo_postconditions_hold_on_random_inputs(random_corpus):
     seen_converted = 0
     for d in random_corpus:
