@@ -341,10 +341,11 @@ def _point_where_absent(d: Decomposition, j: int, v: VertexId, occ) -> Point:
     return Point(j, max(offs) + 1)
 
 
-def _solve_shared(s1: int, m1: int, r1, s2: int, m2: int, r2, count: int):
+def _solve_shared(s1: int, m1: int, r1, s2: int, m2: int, r2,
+                  count: int) -> list[int]:
     """Common indices of the progressions {m1 + s1*b : b in r1} and
     {m2 + s2*b : b in r2}.  Ranges are (lo, hi) with None for unbounded.
-    Returns ('empty',) or ('finite', [indices]) or ('infinite', [indices]);
+    Returns the list of common indices, empty when there are none;
     unbounded or oversized families are represented by `count` witnesses
     from each end, which is enough for violation detection because only
     boundary-pinned members can ever satisfy betweenness.  The caller sizes
@@ -352,7 +353,7 @@ def _solve_shared(s1: int, m1: int, r1, s2: int, m2: int, r2, count: int):
     g = math.gcd(s1, s2)
     D = m2 - m1
     if D % g:
-        return ("empty",)
+        return []
     # one solution of s1*x - s2*y = g, scaled
     x0, y0 = _ext_gcd_pair(s1, s2)
     b1 = x0 * (D // g)
@@ -381,7 +382,7 @@ def _solve_shared(s1: int, m1: int, r1, s2: int, m2: int, r2, count: int):
     t_lo, t_hi = tighten(t_lo, t_hi, b1, c1, r1[0], r1[1])
     t_lo, t_hi = tighten(t_lo, t_hi, b2, c2, r2[0], r2[1])
     if empty or (t_lo is not None and t_hi is not None and t_lo > t_hi):
-        return ("empty",)
+        return []
     if t_lo is None and t_hi is None:
         ts = range(0, count)
     elif t_hi is None:
@@ -393,8 +394,8 @@ def _solve_shared(s1: int, m1: int, r1, s2: int, m2: int, r2, count: int):
             ts = range(t_lo, t_hi + 1)
         else:
             ts = list(range(t_lo, t_lo + count)) + list(range(t_hi - count + 1, t_hi + 1))
-        return ("finite", sorted({m1 + s1 * (b1 + c1 * t) for t in ts}))
-    return ("infinite", [m1 + s1 * (b1 + c1 * t) for t in ts])
+        return sorted({m1 + s1 * (b1 + c1 * t) for t in ts})
+    return [m1 + s1 * (b1 + c1 * t) for t in ts]
 
 
 def _ext_gcd_pair(s1: int, s2: int) -> tuple[int, int]:
@@ -465,10 +466,9 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
         for tag in set(idx1) & set(idx2):
             need = len(idx1[tag]) + len(idx2[tag]) + 2
             for m1, m2 in itertools.product(idx1[tag], idx2[tag]):
-                res = _solve_shared(t1.stride, m1, _block_range(k1),
-                                    t2.stride, m2, _block_range(k2), count=need)
-                if res[0] != "empty":
-                    shared_candidates.update(VertexId(tag, i) for i in res[1])
+                shared = _solve_shared(t1.stride, m1, _block_range(k1),
+                                       t2.stride, m2, _block_range(k2), count=need)
+                shared_candidates.update(VertexId(tag, i) for i in shared)
 
     # 3) concrete candidates: statics, pinned vertices, unshifted mobiles,
     #    everything in explicit bags, plus the cross-template solutions

@@ -317,8 +317,6 @@ def enumerate_cuts(line: Line, budget: int) -> list[Cut]:
             out.append(c)
         if seg.kind in (SegmentKind.OMEGA, SegmentKind.ZETA) and j < n - 1:
             out.append(Cut(j, CutPosition.AFTER_SEGMENT))
-    for c in out:
-        check_cut(line, c)
     return out
 
 

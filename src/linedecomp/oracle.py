@@ -334,6 +334,8 @@ def compactness_probe(d: Decomposition, samples: int, *, window: int = 4,
                       max_vertices: int = 9, seed: int = 0) -> ProbeReport:
     """Sample finite subgraphs of a materialization and confirm each has
     path-width at most the decomposition's width."""
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     k = width(d)
     fd, g = materialize(d, window)
     bags = [bag_at(fd, p) for p in all_points(fd.line)]

@@ -243,7 +243,8 @@ def concat_components(parts: Sequence[Decomposition]) -> Decomposition:
     The seams become empty splits, the width is the largest part width, and
     split_components undoes the sum.  A designated limit set strictly inside
     the sum would no longer sit at an end of the line, so interior parts
-    must not designate any.
+    must not designate any.  The sum is verified once: that is what decides
+    that the parts share no vertex.
     """
     if not parts:
         raise ValueError("nothing to concatenate")
@@ -254,7 +255,12 @@ def concat_components(parts: Sequence[Decomposition]) -> Decomposition:
         if i < len(parts) - 1 and p.z2:
             raise ValueError(
                 "only the last part may designate right-limit vertices")
-    return raw_concat(parts, [frozenset()] * (len(parts) - 1))
+    out = raw_concat(parts, [frozenset()] * (len(parts) - 1))
+    rep = verify(out)
+    if not rep.ok:
+        raise ValueError("the parts must be valid and share no vertex; "
+                         f"the sum does not verify: {rep.counterexample}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -228,9 +228,9 @@ def _classify_deep(d: Decomposition, j: int, direction: int,
     """How splits behave marching outward from the window edge of segment j.
 
     Evaluates one full period of alignment classes at the edge block and the
-    three blocks beyond it, and fits each class to a constant or marching
-    family.  Anything else cannot be numbered by an integer interval, so it
-    is rejected as out of scope rather than mis-indexed.
+    block beyond it, and fits each class to a constant or marching family.
+    Anything else cannot be numbered by an integer interval, so it is
+    rejected as out of scope rather than mis-indexed.
 
     A marching class's fixed part is read off the template, not off the
     samples: the vertices the shift leaves alone are the statics and the
@@ -246,10 +246,9 @@ def _classify_deep(d: Decomposition, j: int, direction: int,
     stride for residue vertex w and constant vertex c.  _template_reach
     stretches the reach past that many periods, and split_budget places
     block 0 at least twice the reach out, so it never happens from block 0
-    on: that is the family invariant, and two samples would tell constant
-    from marching.  The four samples and the three-step guard
-    re-check the formula; a refusal from them means the sizing missed a
-    coincidence.
+    on: that is the family invariant, so two samples tell constant from
+    marching.  The one-step guard re-checks the formula on them; a refusal
+    from it means the sizing missed a coincidence.
     """
     t = d.templates[j]
     p = t.period
@@ -257,16 +256,15 @@ def _classify_deep(d: Decomposition, j: int, direction: int,
     out = []
     for a in range(p):
         off = base + direction * a
-        ss = [boundary_split(d, Cut(j, CutPosition.AFTER_OFFSET,
-                                    off + direction * p * i))
-              for i in range(4)]
-        if ss[0] == ss[1] == ss[2] == ss[3]:
-            out.append(SplitFamily(j, direction, off, p, step, ss[0], frozenset()))
+        s0, s1 = (boundary_split(d, Cut(j, CutPosition.AFTER_OFFSET,
+                                        off + direction * p * i))
+                  for i in range(2))
+        if s0 == s1:
+            out.append(SplitFamily(j, direction, off, p, step, s0, frozenset()))
             continue
-        fixed = frozenset(v for v in ss[0] if v.is_static or v in t.constant)
-        if all(ss[i + 1] == fixed | shift_set(ss[i] - fixed, step)
-               for i in range(3)):
-            out.append(SplitFamily(j, direction, off, p, step, fixed, ss[0] - fixed))
+        fixed = frozenset(v for v in s0 if v.is_static or v in t.constant)
+        if s1 == fixed | shift_set(s0 - fixed, step):
+            out.append(SplitFamily(j, direction, off, p, step, fixed, s0 - fixed))
         else:
             raise UnsupportedScopeError(
                 f"splits do not stabilize beyond the window in segment {j}")

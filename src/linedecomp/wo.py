@@ -12,6 +12,12 @@ reverse; when the minimum splits march off the upper end forever, one
 period's worth of rebuilt pieces is replicated along a fresh omega segment.
 The pieces are then concatenated in order, gluing along the splits.
 
+Every concatenation checks one equation per seam: the seam is the common
+part of the limit sets that meet there (`raw_concat`).  Whether the glued
+parts share any other vertex is left to `verify`, which decides it exactly,
+periodic templates included: `concat_wo` verifies its result, and `to_wo`
+verifies once at the end rather than at every rebuild node.
+
 Bag sizes at most double: a rebuilt slice lost the split that is added back,
 and the split has minimum size.  Designated left-limit vertices sharpen the
 bound since they are removed up front and never reappear inside a slice.
@@ -19,8 +25,7 @@ bound since they are removed up front and never reappear inside a slice.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -44,7 +49,6 @@ from linedecomp.decomposition import (
     PeriodicBags,
     Region,
     Side,
-    VertexId,
     add_to_bags,
     limit_vertices,
     remove_from_bags,
@@ -63,104 +67,6 @@ from linedecomp.splits import (
 
 
 # ---------------------------------------------------------------------------
-# Vertex universes
-#
-# Concatenation must check that two decompositions share exactly the vertices
-# of the interface.  Presented decompositions can have infinitely many
-# vertices, but only along arithmetic progressions: a mobile vertex in a
-# periodic template recurs shifted by the stride once per block.
-
-
-@dataclass(frozen=True)
-class Ray:
-    """The mobile vertices start, start+step, start+2*step, ... of one tag."""
-
-    tag: str
-    start: int
-    step: int
-
-    def __post_init__(self):
-        if self.step == 0:
-            raise ValueError("a ray needs a nonzero step")
-
-    def member(self, v: VertexId) -> bool:
-        if not v.is_mobile or v.tag != self.tag:
-            return False
-        q, r = divmod(v.index - self.start, self.step)
-        return r == 0 and q >= 0
-
-
-Universe = tuple[Bag, frozenset[Ray]]
-
-
-def vertex_universe(d: Decomposition) -> Universe:
-    """All vertices of the decomposition, as a finite set plus rays."""
-    finite: set[VertexId] = set(d.z1) | set(d.z2)
-    rays: set[Ray] = set()
-    for seg, t in zip(d.line.segments, d.templates):
-        if isinstance(t, ExplicitBags):
-            for b in t.bags:
-                finite |= b
-            continue
-        finite |= t.constant
-        for r in t.residues:
-            for v in r:
-                if v.is_static or t.stride == 0:
-                    finite.add(v)
-                    continue
-                if seg.kind in (SegmentKind.OMEGA, SegmentKind.ZETA):
-                    rays.add(Ray(v.tag, v.index, t.stride))
-                if seg.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA):
-                    rays.add(Ray(v.tag, v.index - t.stride, -t.stride))
-    return frozenset(finite), frozenset(rays)
-
-
-def _ray_pair_overlap(a: Ray, b: Ray) -> Optional[frozenset[VertexId]]:
-    """Common vertices of two rays; None when there are infinitely many."""
-    if a.tag != b.tag:
-        return frozenset()
-    if (a.step > 0) == (b.step > 0):
-        g = math.gcd(a.step, b.step)
-        if (b.start - a.start) % g:
-            return frozenset()
-        # same direction and compatible residues: they meet forever
-        return None
-    asc, desc = (a, b) if a.step > 0 else (b, a)
-    sa, sd = asc.step, -desc.step
-    g = math.gcd(sa, sd)
-    diff = desc.start - asc.start
-    if diff % g:
-        return frozenset()
-    md = sd // g
-    t0 = 0 if md == 1 else (diff // g) * pow(sa // g, -1, md) % md
-    x = asc.start + sa * t0  # least common member >= asc.start
-    lcm = sa * sd // g
-    out = set()
-    while x <= desc.start:
-        out.add(VertexId(a.tag, x))
-        x += lcm
-    return frozenset(out)
-
-
-def universe_overlap(u1: Universe, u2: Universe) -> Optional[frozenset[VertexId]]:
-    """Intersection of two universes; None when it is infinite."""
-    f1, r1 = u1
-    f2, r2 = u2
-    out = set(f1 & f2)
-    for ray in r2:
-        out.update(v for v in f1 if ray.member(v))
-    for ray in r1:
-        out.update(v for v in f2 if ray.member(v))
-    for a in r1:
-        for b in r2:
-            shared = _ray_pair_overlap(a, b)
-            if shared is None:
-                return None
-            out |= shared
-    return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
 # Concatenation
 
 
@@ -169,27 +75,24 @@ def raw_concat(parts: Sequence[Decomposition],
     """Glue the parts in order along the interfaces seams[i] between
     parts[i] and parts[i + 1], without re-verifying.
 
-    Each part's vertex universe is computed once and checked against the
-    running union of the universes below it, so n parts cost linear time.
+    Each seam s must equal R & L, where R is the right-limit set of the part
+    below it and L the left-limit set of the part above.  When the result
+    verifies, that is exactly the condition that the two parts share the
+    vertices of s and no others.  A vertex in both parts lies in every bag
+    between its occurrences, so it lies in a final stretch of the lower
+    part and an initial stretch of the upper part; on a periodic tail, a
+    vertex in every bag of the tail is in every bag of the segment.  So it
+    lies in R and in L, the shared vertices are R & L, and R & L == s is the
+    condition.  Whether the result verifies is left to the caller.
     """
     if len(seams) != len(parts) - 1:
         raise ValueError("one interface between each two consecutive parts")
-    finite, rays = map(set, vertex_universe(parts[0]))
     for lower, upper, s in zip(parts, parts[1:], seams):
-        if not s <= limit_vertices(lower, Side.RIGHT):
-            raise ValueError("interface is not a right-limit set of the lower part")
-        if not s <= limit_vertices(upper, Side.LEFT):
-            raise ValueError("interface is not a left-limit set of the upper part")
-        up_finite, up_rays = vertex_universe(upper)
-        shared = universe_overlap((finite, rays), (up_finite, up_rays))
-        if shared is None:
-            raise ValueError("the parts share infinitely many vertices")
+        shared = limit_vertices(lower, Side.RIGHT) & limit_vertices(upper, Side.LEFT)
         if shared != s:
             raise ValueError(
                 "the parts must share exactly the interface vertices; "
                 f"off by {sorted(shared ^ s)!r}")
-        finite |= up_finite
-        rays |= up_rays
     # finite segments meeting at a seam merge; each stays a list of bags
     # until the end, so merging never copies what was glued before
     pieces: list = []  # lists of bags and (segment, template) pairs
@@ -207,10 +110,10 @@ def raw_concat(parts: Sequence[Decomposition],
 def concat_wo(d1: Decomposition, d2: Decomposition, s: Bag) -> Decomposition:
     """Concatenate two well-ordered decompositions along the interface s.
 
-    s must be a right-limit set of d1 and a left-limit set of d2, and the two
-    vertex universes must intersect in exactly s.  The result lives on the
-    ordinal sum of the two lines, is verified, and its width is the larger
-    of the two.
+    s must be the common part of d1's right-limit set and d2's left-limit
+    set, and the glued result must verify; together these say the parts
+    share exactly s.  The result lives on the ordinal sum of the two lines
+    and its width is the larger of the two.
     """
     if not is_well_order(d1.line):
         raise ValueError("the lower part is not on a well-order")

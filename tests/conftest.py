@@ -1,17 +1,86 @@
-"""Fixtures shared by several test modules."""
+"""Fixtures and oracles shared by several test modules."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from linedecomp.line import Line, fin, is_well_order, omega, omega_star, zeta
+from linedecomp.line import (
+    Line,
+    SegmentKind,
+    fin,
+    is_well_order,
+    omega,
+    omega_star,
+    zeta,
+)
 from linedecomp.decomposition import (
+    Bag,
     Decomposition,
     ExplicitBags,
     PeriodicBags,
     V,
+    VertexId,
     verify,
 )
+
+
+# ---------------------------------------------------------------------------
+# Vertex universes
+#
+# The oracle for the vertex set of a presented decomposition.  Presented
+# decompositions can have infinitely many vertices, but only along
+# arithmetic progressions: a mobile vertex in a periodic template recurs
+# shifted by the stride once per block.
+
+
+@dataclass(frozen=True)
+class Ray:
+    """The mobile vertices start, start+step, start+2*step, ... of one tag."""
+
+    tag: str
+    start: int
+    step: int
+
+    def __post_init__(self):
+        if self.step == 0:
+            raise ValueError("a ray needs a nonzero step")
+
+    def member(self, v: VertexId) -> bool:
+        if not v.is_mobile or v.tag != self.tag:
+            return False
+        q, r = divmod(v.index - self.start, self.step)
+        return r == 0 and q >= 0
+
+
+Universe = tuple[Bag, frozenset[Ray]]
+
+
+def vertex_universe(d: Decomposition) -> Universe:
+    """All vertices of the decomposition, as a finite set plus rays."""
+    finite: set[VertexId] = set(d.z1) | set(d.z2)
+    rays: set[Ray] = set()
+    for seg, t in zip(d.line.segments, d.templates):
+        if isinstance(t, ExplicitBags):
+            for b in t.bags:
+                finite |= b
+            continue
+        finite |= t.constant
+        for r in t.residues:
+            for v in r:
+                if v.is_static or t.stride == 0:
+                    finite.add(v)
+                    continue
+                if seg.kind in (SegmentKind.OMEGA, SegmentKind.ZETA):
+                    rays.add(Ray(v.tag, v.index, t.stride))
+                if seg.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA):
+                    rays.add(Ray(v.tag, v.index - t.stride, -t.stride))
+    return frozenset(finite), frozenset(rays)
+
+
+# ---------------------------------------------------------------------------
+# Random corpora
+
 
 
 def _random_periodic(rng):

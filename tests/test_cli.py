@@ -434,6 +434,14 @@ def test_probe_command_deterministic(tmp_path, capsys):
     assert "max sampled pathwidth 1" in first[1]
 
 
+def test_probe_rejects_negative_samples(tmp_path, capsys):
+    path = save(tmp_path, emit_document(witness_family(1)))
+    code, out, err = run(capsys, "probe", path, "--samples", "-1")
+    assert code == 1
+    assert out == ""
+    assert "samples must be nonnegative" in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert main([]) == 2

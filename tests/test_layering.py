@@ -1,7 +1,7 @@
 """Module layering: no module of the package imports another's private
 helpers.  A name that one module needs from another is public there, each
 public name is defined by one module only, and each is either used within
-the package or exported by it."""
+the package or exported by it.  Likewise every import is used or exported."""
 
 import ast
 from pathlib import Path
@@ -83,3 +83,29 @@ def test_every_public_name_has_a_caller():
     unused = [f"{f.name}: {name}" for f in files for name in _public_definitions(f)
               if name not in used and name not in exported]
     assert not unused, "\n".join(unused)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Top-level imports of a module that it neither uses nor lists in
+    its __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bound: dict[str, int] = {}
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in sorted(bound.items())
+            if name not in loaded and name not in exported]
+
+
+def test_no_unused_imports():
+    bad = [hit for f in sorted(SRC.glob("*.py")) for hit in _unused_imports(f)]
+    assert not bad, "\n".join(bad)

@@ -192,9 +192,10 @@ def distinct_as_intervals(line, cuts, sample):
 
 def oracle_check_enumeration(line, budget):
     cuts = enumerate_cuts(line, budget)
-    # validity and strict order
+    # validity, canonical spelling and strict order
     for c in cuts:
         check_cut(line, c)
+        assert normalize_cut(line, c) == c
     for a, b in zip(cuts, cuts[1:]):
         assert compare_cuts(line, a, b) is Ordering.LT
     # intervals are genuinely distinct and downward closed on a point sample

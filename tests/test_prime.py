@@ -22,10 +22,12 @@ from linedecomp.decomposition import (
     Decomposition,
     ExplicitBags,
     PeriodicBags,
+    Side,
     V,
     VertexId,
     bag_of,
     boundary_split,
+    limit_vertices,
     tidy,
     verify,
     width,
@@ -43,7 +45,7 @@ from linedecomp.prime import (
     substitute,
 )
 from linedecomp.splits import SplitFamily
-from linedecomp.wo import to_wo, vertex_universe
+from linedecomp.wo import raw_concat, to_wo
 
 
 def explicit(*bags, z1=(), z2=()):
@@ -394,25 +396,32 @@ def test_concat_ordinal_sum():
     assert str(line_ordinal(out.line)) == "w + 1"
 
 
-def test_concat_computes_each_part_universe_once(monkeypatch):
-    # checking each part against the running union keeps n parts linear;
-    # recomputing the universe of everything glued so far is quadratic
+def test_concat_reads_two_limit_sets_per_seam(monkeypatch):
+    # one equation per seam keeps n parts linear; reading the limit sets of
+    # everything glued so far would be quadratic
     parts = [explicit({V("v", i)}) for i in range(6)]
     seen = []
 
-    def counting(d):
-        seen.append(d)
-        return vertex_universe(d)
+    def counting(d, side):
+        seen.append((id(d), side))
+        return limit_vertices(d, side)
 
-    monkeypatch.setattr(linedecomp.wo, "vertex_universe", counting)
-    out = concat_components(parts)
-    assert [id(d) for d in seen] == [id(p) for p in parts]
+    monkeypatch.setattr(linedecomp.wo, "limit_vertices", counting)
+    out = raw_concat(parts, [frozenset()] * 5)
+    assert len(seen) == 2 * (len(parts) - 1)
+    assert seen == [x for lo, up in zip(parts, parts[1:])
+                    for x in ((id(lo), Side.RIGHT), (id(up), Side.LEFT))]
     assert out == explicit(*({V("v", i)} for i in range(6)))
 
 
 def test_concat_rejects_shared_vertices():
     with pytest.raises(ValueError, match="share"):
         concat_components([explicit({V("a")}), explicit({V("a"), V("b")})])
+    # a is in neither limit set at the seam, so only verify sees it shared
+    parts = [explicit({V("a")}, {V("b")}), explicit({V("a")})]
+    raw_concat(parts, [frozenset()])
+    with pytest.raises(ValueError, match="share"):
+        concat_components(parts)
 
 
 def test_concat_rejects_interior_designations():

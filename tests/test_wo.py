@@ -1,4 +1,5 @@
-"""Well-order machinery: universes, concatenation, and the rebuild."""
+"""Well-order machinery: concatenation and the rebuild, checked against
+the vertex-universe oracle."""
 
 import random
 import weakref
@@ -39,13 +40,10 @@ from linedecomp.decomposition import (
 )
 from linedecomp.oracle import materialize, random_decomposition, witness_family
 from linedecomp.splits import analyze_splits, enumerate_min_splits, split_at
-from linedecomp.wo import (
-    Ray,
-    concat_wo,
-    to_wo,
-    universe_overlap,
-    vertex_universe,
-)
+from linedecomp.prime import concat_components
+from linedecomp.wo import concat_wo, raw_concat, to_wo
+
+from conftest import Ray, vertex_universe
 
 
 def explicit(*bags, z1=(), z2=()):
@@ -60,13 +58,19 @@ def band(segment, tag="v", size=1, stride=1, constant=(), z1=(), z2=()):
     return Decomposition(Line.of(segment), (t,), frozenset(z1), frozenset(z2))
 
 
+def ray_band(segment, index, stride):
+    """One mobile vertex per bag, shifting by the stride each bag."""
+    t = PeriodicBags(1, (frozenset({VertexId("v", index)}),), stride, frozenset())
+    return Decomposition(Line.of(segment), (t,), frozenset(), frozenset())
+
+
 def in_universe(u, v):
     finite, rays = u
     return v in finite or any(r.member(v) for r in rays)
 
 
 # ---------------------------------------------------------------------------
-# Vertex universes
+# The vertex-universe oracle
 
 
 def test_ray_membership_both_directions():
@@ -105,29 +109,42 @@ def test_universe_keeps_constant_and_statics():
     assert rays == {Ray("v", 0, 1)}
 
 
+# ---------------------------------------------------------------------------
+# Parts overlapping along rays: no limit set meets the other part, so the
+# seam equation holds and verify alone finds the shared vertices
+
+
 def test_overlap_of_opposed_rays_is_finite():
-    u1 = (frozenset(), frozenset({Ray("v", 0, 2)}))
-    u2 = (frozenset(), frozenset({Ray("v", 10, -2)}))
-    got = universe_overlap(u1, u2)
-    assert got == frozenset(VertexId("v", i) for i in (0, 2, 4, 6, 8, 10))
+    lower, upper = ray_band(omega(), 0, 2), ray_band(omega_star(), 12, 2)
+    assert vertex_universe(lower)[1] == {Ray("v", 0, 2)}
+    assert vertex_universe(upper)[1] == {Ray("v", 10, -2)}
+    # v0, v2, ..., v10 lie in both; v0 is the least failing vertex
+    assert verify(raw_concat([lower, upper], [frozenset()])).counterexample[0] \
+        == VertexId("v", 0)
+    with pytest.raises(ValueError, match="share"):
+        concat_components([lower, upper])
 
 
 def test_overlap_of_misaligned_rays_is_empty():
-    u1 = (frozenset(), frozenset({Ray("v", 0, 2)}))
-    u2 = (frozenset(), frozenset({Ray("v", 7, -2)}))
-    assert universe_overlap(u1, u2) == frozenset()
+    lower, upper = ray_band(omega(), 0, 2), ray_band(omega_star(), 9, 2)
+    assert vertex_universe(upper)[1] == {Ray("v", 7, -2)}
+    out = concat_components([lower, upper])
+    assert width(out) == 0 and out.line == Line.of(omega(), omega_star())
 
 
 def test_overlap_of_parallel_rays_is_infinite():
-    u1 = (frozenset(), frozenset({Ray("v", 0, 2)}))
-    u2 = (frozenset(), frozenset({Ray("v", 6, 4)}))
-    assert universe_overlap(u1, u2) is None
+    lower, upper = ray_band(omega(), 0, 2), ray_band(omega(), 6, 4)
+    with pytest.raises(ValueError, match="verify"):
+        concat_wo(lower, upper, frozenset())
 
 
 def test_overlap_finite_against_ray():
-    u1 = (bag_of(("v", 4), ("v", 5), "x"), frozenset())
-    u2 = (frozenset(), frozenset({Ray("v", 0, 2)}))
-    assert universe_overlap(u1, u2) == bag_of(("v", 4))
+    lower = explicit(bag_of(("v", 4), ("v", 5), "x"))
+    upper = ray_band(omega(), 0, 2)
+    assert verify(raw_concat([lower, upper], [frozenset()])).counterexample[0] \
+        == VertexId("v", 4)
+    with pytest.raises(ValueError, match="verify"):
+        concat_wo(lower, upper, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +201,7 @@ def test_concat_rejects_overlap_beyond_interface():
 def test_concat_rejects_infinite_overlap():
     d1 = band(omega())
     d2 = band(omega())
-    with pytest.raises(ValueError, match="infinitely many"):
+    with pytest.raises(ValueError, match="does not verify"):
         concat_wo(d1, d2, frozenset())
 
 
