@@ -26,10 +26,12 @@ from linedecomp.line import (
     Cut,
     CutPosition,
     Line,
+    Ordering,
     Point,
     Segment,
     SegmentKind,
     UnsupportedScopeError,
+    compare_cuts,
     fin,
     normalize_cut,
     point_just_above_cut,
@@ -141,11 +143,6 @@ BagTemplate = Union[ExplicitBags, PeriodicBags]
 class Side(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
-
-
-class Region(enum.Enum):
-    INSIDE = "inside"
-    OUTSIDE = "outside"
 
 
 @dataclass(frozen=True)
@@ -425,39 +422,27 @@ def _mobile_tag_indices(t: PeriodicBags) -> dict[str, set[int]]:
 
 def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
     """None when every vertex's occurrence set is an interval of the line,
-    else (vertex, r, s, t) with the vertex in the bags at r and t but not s.
+    else (vertex, r, s, t) with the vertex in the bags at r and t but not s,
+    for the least failing vertex among the candidates checked.
     """
     occ = _explicit_occurrences(d)
+    candidates: set[VertexId] = set()
 
-    # 1) within one periodic segment: statics and unshifted mobiles must fill
-    #    all residues or none; shifted-orbit patterns must be contiguous
+    # 1) shifted orbits within one periodic segment: a pattern with a gap
+    #    breaks every member, so one representative stands for the orbit,
+    #    slid until its whole pattern is admissible and it avoids the
+    #    finitely many constant vertices
     for j, (seg, t) in enumerate(zip(d.line.segments, d.templates)):
-        if not isinstance(t, PeriodicBags):
-            continue
-        flat = set().union(*t.residues) if t.residues else set()
-        for v in sorted(flat):
-            if v in t.constant:
-                continue
-            if v.is_static or t.stride == 0:
-                desc = _occurrence_in_segment(d, j, v, occ)
-                if desc[0] == "residues":
-                    return _residue_gap_example(d, j, v, desc[1])
-        if t.stride != 0:
+        if isinstance(t, PeriodicBags) and t.stride != 0:
             for (tag, c), pattern in _orbit_patterns(t).items():
                 if len(pattern) > 1 and pattern[-1] - pattern[0] + 1 != len(pattern):
-                    # slide the orbit so the full pattern is admissible and
-                    # its witness avoids the finitely many constant vertices
                     shift_blocks = _expose_shift(seg.kind, t, pattern, tag, c)
-                    v = VertexId(tag, c + t.stride * shift_blocks)
-                    offs = [o + shift_blocks * t.period for o in pattern]
-                    r_, s_, t_ = _gap_counterexample(j, offs)
-                    return (v, r_, s_, t_)
+                    candidates.add(VertexId(tag, c + t.stride * shift_blocks))
 
     # 2) vertices shared between two shifted periodic templates.  At most one
     #    vertex per solution family can have its earlier occurrence pinned to
     #    the segment top, so a handful of consecutive witnesses is enough for
     #    the per-vertex check below to catch any violation.
-    shared_candidates: set[VertexId] = set()
     periodic = [(j, t) for j, t in enumerate(d.templates)
                 if isinstance(t, PeriodicBags) and t.stride != 0]
     for (j1, t1), (j2, t2) in itertools.combinations(periodic, 2):
@@ -468,11 +453,10 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
             for m1, m2 in itertools.product(idx1[tag], idx2[tag]):
                 shared = _solve_shared(t1.stride, m1, _block_range(k1),
                                        t2.stride, m2, _block_range(k2), count=need)
-                shared_candidates.update(VertexId(tag, i) for i in shared)
+                candidates.update(VertexId(tag, i) for i in shared)
 
-    # 3) concrete candidates: statics, pinned vertices, unshifted mobiles,
-    #    everything in explicit bags, plus the cross-template solutions
-    candidates: set[VertexId] = set(shared_candidates)
+    # 3) concrete candidates: statics, pinned vertices, unshifted mobiles and
+    #    everything in explicit bags
     for j, t in enumerate(d.templates):
         if j in occ:
             candidates.update(occ[j])
@@ -589,9 +573,10 @@ def limit_vertices(d: Decomposition, side: Side) -> Bag:
 
 def verify(d: Decomposition) -> VerificationReport:
     """Check betweenness and the designated limit vertices; a betweenness
-    counterexample names the least failing vertex.  Finite segments cost
-    O(B + V*S): one pass over the B vertex slots of their bags, then one
-    lookup per candidate vertex and segment.  Periodic ones use templates."""
+    counterexample names the least failing vertex among the candidates
+    checked.  Finite segments cost O(B + V*S): one pass over the B vertex
+    slots of their bags, then one lookup per candidate vertex and segment.
+    Periodic ones use templates."""
     w = width(d)
     bad = _betweenness_counterexample(d)
     if bad is not None:
@@ -628,7 +613,7 @@ def boundary_split(d: Decomposition, c: Cut) -> Bag:
 
 
 # ---------------------------------------------------------------------------
-# Structural transforms
+# Structural transforms and slicing
 
 
 def reverse_decomposition(d: Decomposition) -> Decomposition:
@@ -718,80 +703,48 @@ def _retemplate(t: PeriodicBags, offsets: Sequence[int]) -> PeriodicBags:
     return PeriodicBags(len(res), res, t.stride, t.constant)
 
 
-def restrict(d: Decomposition, c: Cut, region: Region) -> Decomposition:
-    c = normalize_cut(d.line, c)
-    s = boundary_split(d, c)
-    j = c.segment
-    seg = d.line.segments[j]
-    segs: list[Segment] = []
-    temps: list[BagTemplate] = []
-    if region is Region.INSIDE:
-        segs.extend(d.line.segments[:j])
-        temps.extend(d.templates[:j])
-        if c.position is CutPosition.AFTER_SEGMENT:
-            segs.append(seg)
-            temps.append(d.templates[j])
-        else:
-            i = c.offset
-            t = d.templates[j]
-            if seg.kind in (SegmentKind.FIN, SegmentKind.OMEGA):
-                segs.append(fin(i + 1))
-                temps.append(ExplicitBags(tuple(t.bag(o) for o in range(i + 1))))
-            else:
-                segs.append(Segment(SegmentKind.OMEGA_STAR))
-                temps.append(_retemplate(t, range(i + 1, i + 1 + t.period)))
-        return Decomposition(Line(tuple(segs)), tuple(temps), d.z1, s)
-    if c.position is not CutPosition.AFTER_SEGMENT:
-        i = c.offset
-        t = d.templates[j]
-        if seg.kind is SegmentKind.FIN:
-            if i < seg.length - 1:
-                segs.append(fin(seg.length - 1 - i))
-                temps.append(ExplicitBags(t.bags[i + 1:]))
-        elif seg.kind is SegmentKind.OMEGA_STAR:
-            if i < -1:
-                segs.append(fin(-1 - i))
-                temps.append(ExplicitBags(tuple(t.bag(o) for o in range(i + 1, 0))))
-        else:
-            segs.append(Segment(SegmentKind.OMEGA))
-            temps.append(_retemplate(t, range(i + 1, i + 1 + t.period)))
-    segs.extend(d.line.segments[j + 1:])
-    temps.extend(d.templates[j + 1:])
-    return Decomposition(Line(tuple(segs)), tuple(temps), s, d.z2)
-
-
-def translate_cut_outside(line: Line, lo: Cut, c: Cut) -> Cut:
-    """Rewrite a cut of `line` in the coordinates of restrict(..., lo, OUTSIDE).
-    Requires lo < c."""
-    lo = normalize_cut(line, lo)
-    c = normalize_cut(line, c)
-    j = lo.segment
-    seg = line.segments[j]
-    if lo.position is CutPosition.AFTER_SEGMENT or (
-            seg.max_offset is not None and lo.offset == seg.max_offset):
-        drop = j + 1
-        off_shift_seg = None
-    else:
-        drop = j
-        off_shift_seg = j
-    if c.segment == off_shift_seg:
-        if c.position is CutPosition.AFTER_SEGMENT:
-            return Cut(0, CutPosition.AFTER_SEGMENT)
-        return Cut(0, CutPosition.AFTER_OFFSET, c.offset - (lo.offset + 1))
-    new_seg = c.segment - drop if off_shift_seg is None else c.segment - j
-    return Cut(new_seg, c.position, c.offset)
-
-
 def slice_between(d: Decomposition, lo: Optional[Cut], hi: Optional[Cut]) -> Decomposition:
-    """The piece strictly above `lo` and weakly below `hi` (None = line end)."""
+    """The piece strictly above `lo` and weakly below `hi` (None = line end).
+
+    Its ends designate the splits at the cuts, or d's own limit sets at an
+    open end.  Each segment keeps the offsets between the cuts: all of
+    them (kept whole), a finite run (a bag list), or a ray, renumbered so
+    an omega starts at 0 and an omega* ends at -1.
+    """
     if lo is None and hi is None:
         return d
-    if lo is None:
-        return restrict(d, hi, Region.INSIDE)
-    out = restrict(d, lo, Region.OUTSIDE)
-    if hi is None:
-        return out
-    return restrict(out, translate_cut_outside(d.line, lo, hi), Region.INSIDE)
+    lo = None if lo is None else normalize_cut(d.line, lo)
+    hi = None if hi is None else normalize_cut(d.line, hi)
+    if lo is not None and hi is not None and compare_cuts(d.line, lo, hi) is not Ordering.LT:
+        raise ValueError("slice_between needs lo to lie below hi")
+    segs: list[Segment] = []
+    temps: list[BagTemplate] = []
+    for j, (seg, t) in enumerate(zip(d.line.segments, d.templates)):
+        start, end = seg.min_offset, seg.max_offset
+        if lo is not None and j <= lo.segment:
+            if j < lo.segment or lo.position is CutPosition.AFTER_SEGMENT:
+                continue
+            start = lo.offset + 1
+        if hi is not None and j >= hi.segment:
+            if j > hi.segment:
+                break
+            if hi.position is CutPosition.AFTER_OFFSET:
+                end = hi.offset
+        if (start, end) == (seg.min_offset, seg.max_offset):
+            segs.append(seg)
+            temps.append(t)
+        elif start is None:
+            segs.append(Segment(SegmentKind.OMEGA_STAR))
+            temps.append(_retemplate(t, range(end + 1, end + 1 + t.period)))
+        elif end is None:
+            segs.append(Segment(SegmentKind.OMEGA))
+            temps.append(_retemplate(t, range(start, start + t.period)))
+        elif start <= end:
+            segs.append(fin(end - start + 1))
+            temps.append(ExplicitBags(tuple(t.bag(o) for o in range(start, end + 1))))
+    z1 = d.z1 if lo is None else boundary_split(d, lo)
+    z2 = d.z2 if hi is None else boundary_split(d, hi)
+    return Decomposition(Line(tuple(segs)), tuple(temps), z1, z2)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ from linedecomp.line import (
     Line,
     Point,
     UnsupportedScopeError,
-    all_points,
-    cut_after_point,
     cut_key,
     fin,
     normalize_cut,
@@ -188,9 +186,8 @@ def factor(d: Decomposition) -> SubstitutionPlan:
         raise ValueError("factor needs a tidy decomposition")
     bags = _flat_bags(d)
     n = len(bags)
-    pts = all_points(d.line)
-    if any(not boundary_split(d, cut_after_point(d.line, p))
-           for p in pts[:-1]):
+    # d verifies, so the split between neighbouring bags is their overlap
+    if not all(a & b for a, b in zip(bags, bags[1:])):
         raise ValueError("factor needs a connected graph; "
                          "chop at the empty splits first")
     runs: list[tuple[int, int, Bag]] = []
@@ -300,9 +297,11 @@ def factor_tree(d: Decomposition) -> FactorTree:
 
 
 def compose_tree(t: FactorTree) -> Decomposition:
-    """Rebuild the decomposition a factor tree was taken from, bag for bag."""
+    """Rebuild the decomposition a factor tree was taken from, bag for bag.
+    A lone piece goes to substitute as it is; substitute verifies it."""
     subs = {
-        cut: concat_components([compose_tree(p) for p in pieces])
+        cut: compose_tree(pieces[0]) if len(pieces) == 1
+        else concat_components([compose_tree(p) for p in pieces])
         for cut, pieces in t.children.items()
     }
     return substitute(SubstitutionPlan(t.plan.skeleton, subs))

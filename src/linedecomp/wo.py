@@ -47,12 +47,10 @@ from linedecomp.decomposition import (
     Decomposition,
     ExplicitBags,
     PeriodicBags,
-    Region,
     Side,
     add_to_bags,
     limit_vertices,
     remove_from_bags,
-    restrict,
     reverse_decomposition,
     slice_between,
     tidy,
@@ -291,7 +289,7 @@ def _split_off_lower_part(a: SplitAnalysis, idx: MinSplitIndexing) -> list[_Piec
 
 def _reversed_lower_part(d: Decomposition, c0: Cut, s0: Bag) -> Decomposition:
     """The part of d up to c0, rebuilt in reverse and running from s0 to s0."""
-    lower_part = restrict(d, c0, Region.INSIDE)
+    lower_part = slice_between(d, None, c0)
     core = remove_from_bags(lower_part, d.z1)
     if core is None:
         return _single_bag(s0)

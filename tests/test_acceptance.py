@@ -16,7 +16,6 @@ from linedecomp.decomposition import (
     Decomposition,
     ExplicitBags,
     PeriodicBags,
-    Region,
     Side,
     V,
     VertexId,
@@ -24,7 +23,6 @@ from linedecomp.decomposition import (
     bag_of,
     boundary_split,
     limit_vertices,
-    restrict,
     shift_set,
     slice_between,
     tidy,
@@ -256,8 +254,8 @@ def graph_of(d: Decomposition) -> frozenset:
 
 def split_and_reglue(d: Decomposition, c: Cut) -> Decomposition:
     s = boundary_split(d, c)
-    inside = restrict(d, c, Region.INSIDE)
-    outside = restrict(d, c, Region.OUTSIDE)
+    inside = slice_between(d, None, c)
+    outside = slice_between(d, c, None)
     return concat_wo(inside, outside, s)
 
 

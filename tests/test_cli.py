@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -440,6 +444,26 @@ def test_probe_rejects_negative_samples(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "samples must be nonnegative" in err
+
+
+def test_check_report_does_not_depend_on_hash_seed(tmp_path):
+    # every u and v of this orbit-gapped zeta fails; the report names the
+    # least failing vertex whatever order the sets iterate in
+    doc = {"segments": [{"kind": "zeta", "period": 2, "stride": 1, "templates": [
+        [["u", 1], ["v", 3]], [["u", 0], ["v", 0]]]}]}
+    path = save(tmp_path, json.dumps(doc))
+    src = str(Path(linedecomp.cli.__file__).resolve().parents[1])
+    script = "import sys; from linedecomp.cli import main; sys.exit(main())"
+    outs = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, "check", path],
+                              capture_output=True, text=True, env=env, check=False)
+        outs.add((proc.returncode, proc.stdout, proc.stderr))
+    assert len(outs) == 1
+    code, out, _ = outs.pop()
+    assert code == 1
+    assert "u:0 occurs at" in out
 
 
 def test_usage_errors(capsys):

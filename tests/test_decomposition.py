@@ -1,4 +1,4 @@
-"""Bag templates, exact verification, tidying and restriction.
+"""Bag templates, exact verification, tidying and slicing.
 
 The oracles here are deliberately naive: triple loops over explicit bag
 lists, set unions for splits, and direct bag evaluation to confirm every
@@ -32,7 +32,6 @@ from linedecomp.decomposition import (
     Decomposition,
     ExplicitBags,
     PeriodicBags,
-    Region,
     Side,
     V,
     VertexId,
@@ -44,17 +43,17 @@ from linedecomp.decomposition import (
     full_vertices,
     limit_vertices,
     remove_from_bags,
-    restrict,
     reverse_decomposition,
     shift_decomposition,
     shift_set,
     slice_between,
     tidy,
-    translate_cut_outside,
     verify,
     width,
 )
 from linedecomp.oracle import materialize, random_decomposition
+
+from conftest import _random_periodic
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +361,18 @@ def test_static_in_proper_residue_subset_rejected():
     assert_counterexample_sound(d, rep)
 
 
+def test_verify_names_the_least_failing_vertex_over_a_static_residue():
+    # a fails in the finite segment and z on every other bag of the omega;
+    # the lesser is named, not the first one found
+    d = Decomposition(Line.of(fin(3), omega()), (
+        ExplicitBags((bag_of("a"), bag_of("b"), bag_of("a", "b"))),
+        PeriodicBags(2, (bag_of("z", "b"), bag_of("b")), 0)))
+    rep = verify(d)
+    assert not rep.betweenness_ok
+    assert rep.counterexample[0] == V("a")
+    assert_counterexample_sound(d, rep)
+
+
 def test_orbit_gap_rejected():
     # v_n occurs at offsets n-2 and n: never an interval
     d = Decomposition(Line.of(zeta()),
@@ -614,15 +625,15 @@ def test_tidy_preserves_finite_graphs(bags):
 
 
 # ---------------------------------------------------------------------------
-# Restriction and slicing
+# Slicing
 
 
 def test_restrict_finite():
     bags = [bag_of("a", "b"), bag_of("b", "c"), bag_of("c", "d")]
     d = explicit(*bags, z1={V("a")}, z2={V("d")})
     c = Cut(0, CutPosition.AFTER_OFFSET, 1)
-    inside = restrict(d, c, Region.INSIDE)
-    outside = restrict(d, c, Region.OUTSIDE)
+    inside = slice_between(d, None, c)
+    outside = slice_between(d, c, None)
     assert window_bags(inside, 0) == bags[:2]
     assert window_bags(outside, 0) == bags[2:]
     assert inside.z1 == d.z1 and inside.z2 == bag_of("c")
@@ -634,8 +645,8 @@ def test_restrict_finite():
 def test_restrict_zeta_band(offset):
     d = band(zeta(), k=2)
     c = Cut(0, CutPosition.AFTER_OFFSET, offset)
-    inside = restrict(d, c, Region.INSIDE)
-    outside = restrict(d, c, Region.OUTSIDE)
+    inside = slice_between(d, None, c)
+    outside = slice_between(d, c, None)
     assert inside.line.segments[0].kind is SegmentKind.OMEGA_STAR
     assert outside.line.segments[0].kind is SegmentKind.OMEGA
     assert bag_at(inside, Point(0, -1)) == bag_at(d, Point(0, offset))
@@ -648,7 +659,7 @@ def test_restrict_zeta_band(offset):
 def test_restrict_omega_inside_is_finite():
     d = band(omega())
     c = Cut(0, CutPosition.AFTER_OFFSET, 3)
-    inside = restrict(d, c, Region.INSIDE)
+    inside = slice_between(d, None, c)
     assert inside.line.segments == (fin(4),)
     assert window_bags(inside, 0) == [bag_at(d, Point(0, i)) for i in range(4)]
 
@@ -658,8 +669,8 @@ def test_restrict_at_segment_boundary():
     right = PeriodicBags(1, (bag_of(("u", 0), ("u", 1)),), 1)
     d = Decomposition(Line.of(omega_star(), omega()), (left, right))
     c = Cut(0, CutPosition.AFTER_OFFSET, -1)
-    inside = restrict(d, c, Region.INSIDE)
-    outside = restrict(d, c, Region.OUTSIDE)
+    inside = slice_between(d, None, c)
+    outside = slice_between(d, c, None)
     assert len(inside.line.segments) == 1
     assert len(outside.line.segments) == 1
     assert inside.z2 == bag_of(("u", 0)) == outside.z1
@@ -685,18 +696,96 @@ def test_slice_between_band():
     assert piece.z1 == bag_of(("v", -1)) and piece.z2 == bag_of(("v", 5))
 
 
-def test_translate_cut_outside_cases():
+def test_slice_from_inside_zeta_renumbers_the_rest():
     line = Line.of(fin(3), zeta(), omega())
-    lo = Cut(0, CutPosition.AFTER_OFFSET, 2)
-    c = Cut(1, CutPosition.AFTER_OFFSET, 5)
-    assert translate_cut_outside(line, lo, c) == Cut(0, CutPosition.AFTER_OFFSET, 5)
+    d = Decomposition(line, (
+        ExplicitBags((bag_of("a"),) * 3),
+        PeriodicBags(1, (bag_of(("u", 0), ("u", 1)),), 1),
+        PeriodicBags(1, (bag_of("b"),))))
+    # offsets >= -2 of the zeta segment become an omega renumbered 0, 1, ...
     lo2 = Cut(1, CutPosition.AFTER_OFFSET, -3)
-    # offsets >= -2 of the zeta segment renumber to 0, 1, ... so old 5 lands on 7
-    assert translate_cut_outside(line, lo2, c) == Cut(0, CutPosition.AFTER_OFFSET, 7)
-    assert translate_cut_outside(line, lo2, Cut(1, CutPosition.AFTER_SEGMENT)) \
-        == Cut(0, CutPosition.AFTER_SEGMENT)
-    assert translate_cut_outside(line, lo2, Cut(2, CutPosition.AFTER_OFFSET, 0)) \
-        == Cut(1, CutPosition.AFTER_OFFSET, 0)
+    piece = slice_between(d, lo2, Cut(1, CutPosition.AFTER_OFFSET, 5))
+    assert piece.line.segments == (fin(8),)
+    assert window_bags(piece, 0) == [bag_at(d, Point(1, i)) for i in range(-2, 6)]
+    rest = slice_between(d, lo2, None)
+    assert rest.line == Line.of(omega(), omega())
+    assert [bag_at(rest, Point(0, i)) for i in range(8)] == \
+        [bag_at(d, Point(1, i)) for i in range(-2, 6)]
+    assert slice_between(d, lo2, Cut(1, CutPosition.AFTER_SEGMENT)).line == Line.of(omega())
+    upto = slice_between(d, lo2, Cut(2, CutPosition.AFTER_OFFSET, 0))
+    assert upto.line == Line.of(omega(), fin(1))
+    assert upto.z1 == bag_of(("u", -2)) and upto.z2 == bag_of("b")
+
+
+def in_cut(p, c):
+    """Oracle: is p inside the initial interval of the canonical cut c?"""
+    if p.segment != c.segment:
+        return p.segment < c.segment
+    return c.position is CutPosition.AFTER_SEGMENT or p.offset <= c.offset
+
+
+def assert_slice_matches_points(d, lo, hi, piece, w=12):
+    """The piece's bags are d's bags at the points strictly above lo and
+    weakly below hi, read off a window of w offsets around each anchor
+    (w well beyond the cuts): one piece segment per d segment with kept
+    points, unbounded exactly where the kept points reach the window edge,
+    aligned at its least point, else its greatest, else unshifted."""
+    i = 0
+    for j, seg in enumerate(d.line.segments):
+        win = list(window_offsets(seg, w))
+        kept = [o for o in win
+                if (lo is None or not in_cut(Point(j, o), lo))
+                and (hi is None or in_cut(Point(j, o), hi))]
+        if not kept:
+            continue
+        below = seg.min_offset is not None or kept[0] > win[0]
+        above = seg.max_offset is not None or kept[-1] < win[-1]
+        kind = {(True, True): SegmentKind.FIN, (True, False): SegmentKind.OMEGA,
+                (False, True): SegmentKind.OMEGA_STAR,
+                (False, False): SegmentKind.ZETA}[below, above]
+        got = piece.line.segments[i]
+        assert got.kind is kind
+        if kind is SegmentKind.FIN:
+            assert got.length == len(kept)
+        if below:
+            at = {o: q for q, o in enumerate(kept)}
+        elif above:
+            at = {o: q - len(kept) for q, o in enumerate(kept)}
+        else:
+            at = {o: o for o in kept}
+        for o in kept:
+            assert bag_at(piece, Point(i, at[o])) == bag_at(d, Point(j, o))
+        i += 1
+    assert i == len(piece.line.segments)
+
+
+@given(st.integers(0, 2**32), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_slice_between_matches_point_oracle(seed, finite):
+    rng = random.Random(seed)
+    while True:
+        if finite:
+            d = random_decomposition(rng, bags=rng.randint(2, 8), max_bag=4)
+        else:
+            try:
+                d = _random_periodic(rng)
+            except ValueError:
+                continue
+        if verify(d).ok:
+            break
+    cuts = enumerate_cuts(d.line, 3)
+    ends = [None, *cuts, None]
+    for a, lo in enumerate(ends[:-1]):
+        for hi in ends[a + 1:]:
+            piece = slice_between(d, lo, hi)
+            assert verify(piece).ok
+            assert piece.z1 == (d.z1 if lo is None else boundary_split(d, lo))
+            assert piece.z2 == (d.z2 if hi is None else boundary_split(d, hi))
+            assert_slice_matches_points(d, lo, hi, piece)
+    for a, hi in enumerate(cuts):
+        for lo in cuts[a:]:
+            with pytest.raises(ValueError, match="lo to lie below hi"):
+                slice_between(d, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ the package or exported by it.  Likewise every import is used or exported."""
 import ast
 from pathlib import Path
 
+import linedecomp
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "linedecomp"
 
 
@@ -109,3 +111,13 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     bad = [hit for f in sorted(SRC.glob("*.py")) for hit in _unused_imports(f)]
     assert not bad, "\n".join(bad)
+
+
+def test_every_export_resolves():
+    """Each name in __all__ is bound on the package, so a star import
+    cannot fail on a name whose definition was removed."""
+    missing = [name for name in linedecomp.__all__ if not hasattr(linedecomp, name)]
+    assert not missing, missing
+    namespace: dict = {}
+    exec("from linedecomp import *", namespace)
+    assert set(linedecomp.__all__) <= set(namespace)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import linedecomp.prime
 import linedecomp.wo
 from linedecomp.line import (
     Cut,
@@ -316,6 +317,48 @@ def test_factor_tree_depth_three():
     assert is_prime(t.plan.skeleton)
     inner = t.children[cut_at(0)]
     assert len(inner) == 1 and is_prime(inner[0].plan.skeleton)
+
+
+def test_compose_tree_sums_only_several_pieces(monkeypatch):
+    # a lone piece goes straight to substitute, which verifies it; only a
+    # sum of two or more pieces needs concat_components and its verify.
+    # Here the top substituend is one piece, the one below it two.
+    d = explicit({V("p"), V("v")},
+                 {V("v"), V("w"), V("a")},
+                 {V("v"), V("w"), V("b")},
+                 {V("v"), V("w"), V("c")},
+                 {V("v"), V("w"), V("e")},
+                 {V("v"), V("q")})
+    t = factor_tree(d)
+    assert [len(ps) for ps in t.children.values()] == [1]
+    sums = []
+
+    def counting(parts):
+        sums.append(len(parts))
+        return concat_components(parts)
+
+    monkeypatch.setattr(linedecomp.prime, "concat_components", counting)
+    assert compose_tree(t) == d
+    assert sums == [2]
+
+
+def test_factor_reads_connectivity_off_the_bags(monkeypatch):
+    # d verifies, so neighbouring bags overlap exactly where the splits
+    # are nonempty; no split needs computing
+    calls = []
+
+    def counting(d, c):
+        calls.append(c)
+        return boundary_split(d, c)
+
+    monkeypatch.setattr(linedecomp.prime, "boundary_split", counting)
+    d = explicit({V("a"), V("b")}, {V("b"), V("c")}, {V("b"), V("d")},
+                 {V("b"), V("e")})
+    assert substitute(factor(d)) == d
+    assert len(calls) == 1  # substitute's split at the one spliced cut
+    with pytest.raises(ValueError, match="connected"):
+        factor(explicit({V("a")}, {V("b")}))
+    assert len(calls) == 1
 
 
 def _tree_plans(t: FactorTree):

@@ -33,8 +33,7 @@ from linedecomp.decomposition import (
     bag_at,
     bag_of,
     limit_vertices,
-    restrict,
-    Region,
+    slice_between,
     verify,
     width,
 )
@@ -230,8 +229,8 @@ def test_split_then_concat_is_identity_on_finite():
         n = d.line.segments[0].length
         cut = enumerate_cuts(d.line, n)[rng.randrange(n - 1)]
         s = split_at(d, cut).vertices
-        lower = restrict(d, cut, Region.INSIDE)
-        upper = restrict(d, cut, Region.OUTSIDE)
+        lower = slice_between(d, None, cut)
+        upper = slice_between(d, cut, None)
         assert concat_wo(lower, upper, s) == d
 
 
