@@ -39,7 +39,7 @@ from .decomposition import (
     PeriodicBags,
     VertexId,
     bag_at,
-    boundary_split,
+    boundary_splits,
     tidy,
     verify,
 )
@@ -428,10 +428,9 @@ def _cmd_to_wo(args) -> int:
 def _cmd_splits(args) -> int:
     d = _load(args)
     budget = args.budget if args.budget is not None else split_budget(d)
-    lines = [
-        f"{_cut_text(c)}: {_bag_text(boundary_split(d, c))}"
-        for c in enumerate_cuts(d.line, budget)
-    ]
+    cuts = enumerate_cuts(d.line, budget)
+    lines = [f"{_cut_text(c)}: {_bag_text(s)}"
+             for c, s in zip(cuts, boundary_splits(d, cuts))]
     idx = enumerate_min_splits(d)
     if idx.m is None:
         summary = "no cuts"

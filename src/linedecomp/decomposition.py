@@ -34,11 +34,7 @@ from linedecomp.line import (
     compare_cuts,
     fin,
     normalize_cut,
-    point_just_above_cut,
-    point_just_below_cut,
     reverse_line,
-    segment_above_cut,
-    segment_below_cut,
 )
 
 
@@ -597,19 +593,48 @@ def verify(d: Decomposition) -> VerificationReport:
 
 
 def boundary_split(d: Decomposition, c: Cut) -> Bag:
-    """W(I) & W(L\\I) for the initial interval named by the cut.
+    """W(I) & W(L\\I) for the initial interval named by the cut; see
+    boundary_splits."""
+    return boundary_splits(d, (c,))[0]
+
+
+def boundary_splits(d: Decomposition, cuts: Sequence[Cut]) -> tuple[Bag, ...]:
+    """The split W(I) & W(L\\I) at each cut, in one pass.
 
     With betweenness, a vertex on both sides must sit in the bag at the
     interval's greatest point when it exists, and must occur throughout the
     open end otherwise; dually above.  So the split is the intersection of
     the two boundary bags, with full_vertices standing in at open ends.
+
+    Cost: one normalize_cut per cut, then offset arithmetic for the two
+    boundary points.  The last bag built is kept, so on a line-ordered cut
+    list consecutive offset cuts share their common point: r such cuts in
+    a row build r + 1 bags, not 2r.  Any order gives the same splits.
     """
-    c = normalize_cut(d.line, c)
-    below = point_just_below_cut(d.line, c)
-    above = point_just_above_cut(d.line, c)
-    down = bag_at(d, below) if below is not None else full_vertices(d, segment_below_cut(c))
-    up = bag_at(d, above) if above is not None else full_vertices(d, segment_above_cut(d.line, c))
-    return down & up
+    segs = d.line.segments
+    kept_at, kept = None, frozenset()  # (segment, offset) of the last bag
+
+    def bag(j: int, i: Optional[int]) -> Bag:
+        """The bag at (j, i); i None means the open end of segment j."""
+        nonlocal kept_at, kept
+        if kept_at != (j, i):
+            kept_at = (j, i)
+            kept = full_vertices(d, j) if i is None else d.templates[j].bag(i)
+        return kept
+
+    out = []
+    for c in cuts:
+        c = normalize_cut(d.line, c)  # never BEFORE_SEGMENT from here on
+        j = c.segment
+        if c.position is CutPosition.AFTER_SEGMENT:
+            down = bag(j, None)
+        else:
+            down = bag(j, c.offset)
+            if segs[j].contains_offset(c.offset + 1):
+                out.append(down & bag(j, c.offset + 1))
+                continue
+        out.append(down & bag(j + 1, segs[j + 1].min_offset))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -232,50 +232,6 @@ def cut_after_point(line: Line, p: Point) -> Optional[Cut]:
     return Cut(p.segment, CutPosition.AFTER_OFFSET, p.offset)
 
 
-def point_just_below_cut(line: Line, c: Cut) -> Optional[Point]:
-    """Greatest point inside the cut's interval, if the interval has one."""
-    check_cut(line, c)
-    if c.position is CutPosition.AFTER_OFFSET:
-        return Point(c.segment, c.offset)
-    if c.position is CutPosition.BEFORE_SEGMENT:
-        j = c.segment - 1
-    else:
-        j = c.segment
-    hi = line.segments[j].max_offset
-    return None if hi is None else Point(j, hi)
-
-
-def point_just_above_cut(line: Line, c: Cut) -> Optional[Point]:
-    """Least point outside the cut's interval, if the complement has one."""
-    check_cut(line, c)
-    if c.position is CutPosition.BEFORE_SEGMENT:
-        return None  # omega* / zeta have no least point
-    if c.position is CutPosition.AFTER_OFFSET:
-        seg = line.segments[c.segment]
-        if seg.contains_offset(c.offset + 1):
-            return Point(c.segment, c.offset + 1)
-        j = c.segment + 1
-    else:
-        j = c.segment + 1
-    lo = line.segments[j].min_offset
-    return None if lo is None else Point(j, lo)
-
-
-def segment_below_cut(c: Cut) -> int:
-    """Index of the segment holding the top of the cut's interval."""
-    return c.segment - 1 if c.position is CutPosition.BEFORE_SEGMENT else c.segment
-
-
-def segment_above_cut(line: Line, c: Cut) -> int:
-    """Index of the segment holding the bottom of the cut's complement."""
-    if c.position is CutPosition.BEFORE_SEGMENT:
-        return c.segment
-    if c.position is CutPosition.AFTER_SEGMENT:
-        return c.segment + 1
-    seg = line.segments[c.segment]
-    return c.segment if seg.contains_offset(c.offset + 1) else c.segment + 1
-
-
 # ---------------------------------------------------------------------------
 # Reversal
 

@@ -298,10 +298,13 @@ def factor_tree(d: Decomposition) -> FactorTree:
 
 def compose_tree(t: FactorTree) -> Decomposition:
     """Rebuild the decomposition a factor tree was taken from, bag for bag.
-    A lone piece goes to substitute as it is; substitute verifies it."""
+    The pieces under one cut are glued with empty seams and not checked
+    there: substitute verifies each substituend, and that one check decides
+    that the pieces share no vertex."""
     subs = {
         cut: compose_tree(pieces[0]) if len(pieces) == 1
-        else concat_components([compose_tree(p) for p in pieces])
+        else raw_concat([compose_tree(p) for p in pieces],
+                        [frozenset()] * (len(pieces) - 1))
         for cut, pieces in t.children.items()
     }
     return substitute(SubstitutionPlan(t.plan.skeleton, subs))

@@ -39,6 +39,7 @@ from linedecomp.decomposition import (
     PeriodicBags,
     Side,
     boundary_split,
+    boundary_splits,
     limit_vertices,
     shift_set,
 )
@@ -254,11 +255,13 @@ def _classify_deep(d: Decomposition, j: int, direction: int,
     p = t.period
     step = t.stride * direction
     out = []
+    # the two samples of every class are the 2p consecutive cuts from base
+    offs = sorted(base + direction * i for i in range(2 * p))
+    at = dict(zip(offs, boundary_splits(
+        d, [Cut(j, CutPosition.AFTER_OFFSET, o) for o in offs])))
     for a in range(p):
         off = base + direction * a
-        s0, s1 = (boundary_split(d, Cut(j, CutPosition.AFTER_OFFSET,
-                                        off + direction * p * i))
-                  for i in range(2))
+        s0, s1 = at[off], at[off + direction * p]
         if s0 == s1:
             out.append(SplitFamily(j, direction, off, p, step, s0, frozenset()))
             continue
@@ -532,7 +535,7 @@ def analyze_splits(d: Decomposition) -> SplitAnalysis:
         return False
 
     window_cuts = tuple(c for c in cuts if not in_deep(c))
-    window_splits = tuple(boundary_split(d, c) for c in window_cuts)
+    window_splits = boundary_splits(d, window_cuts)
     m = min(map(len, window_splits)) if window_splits else None
     return SplitAnalysis(d, budget, window_cuts, window_splits, low, high, m)
 
@@ -569,11 +572,9 @@ def repeated_splits(d: Decomposition) -> list[RepeatedSplit]:
         raise UnsupportedScopeError(
             "repeated splits are only computed on finite lines")
     pts = all_points(d.line)
-    n = len(pts)
+    cuts = [cut_after_point(d.line, p) for p in pts[:-1]]
     groups: dict[Bag, tuple[list[int], list[Cut]]] = {}
-    for k in range(1, n):
-        c = cut_after_point(d.line, pts[k - 1])
-        s = boundary_split(d, c)
+    for k, (c, s) in enumerate(zip(cuts, boundary_splits(d, cuts)), 1):
         ks, cs = groups.setdefault(s, ([], []))
         ks.append(k)
         cs.append(c)

@@ -1,13 +1,19 @@
 """Fixtures and oracles shared by several test modules."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 
+from typing import Optional
+
 from linedecomp.line import (
+    Cut,
+    CutPosition,
     Line,
+    Point,
     SegmentKind,
+    check_cut,
     fin,
     is_well_order,
     omega,
@@ -23,6 +29,48 @@ from linedecomp.decomposition import (
     VertexId,
     verify,
 )
+
+
+# ---------------------------------------------------------------------------
+# Neighbours of a cut
+#
+# The points on either side of a cut, read off each spelling separately.
+# The library computes them by offset arithmetic on normalized cuts; the
+# tests check it against these.
+
+
+def point_just_below_cut(line: Line, c: Cut) -> Optional[Point]:
+    """Greatest point inside the cut's interval, if the interval has one."""
+    check_cut(line, c)
+    if c.position is CutPosition.AFTER_OFFSET:
+        return Point(c.segment, c.offset)
+    hi = line.segments[segment_below_cut(c)].max_offset
+    return None if hi is None else Point(segment_below_cut(c), hi)
+
+
+def point_just_above_cut(line: Line, c: Cut) -> Optional[Point]:
+    """Least point outside the cut's interval, if the complement has one."""
+    check_cut(line, c)
+    j = segment_above_cut(line, c)
+    if c.position is CutPosition.AFTER_OFFSET and j == c.segment:
+        return Point(j, c.offset + 1)
+    lo = line.segments[j].min_offset
+    return None if lo is None else Point(j, lo)
+
+
+def segment_below_cut(c: Cut) -> int:
+    """Index of the segment holding the top of the cut's interval."""
+    return c.segment - 1 if c.position is CutPosition.BEFORE_SEGMENT else c.segment
+
+
+def segment_above_cut(line: Line, c: Cut) -> int:
+    """Index of the segment holding the bottom of the cut's complement."""
+    if c.position is CutPosition.BEFORE_SEGMENT:
+        return c.segment
+    if c.position is CutPosition.AFTER_SEGMENT:
+        return c.segment + 1
+    seg = line.segments[c.segment]
+    return c.segment if seg.contains_offset(c.offset + 1) else c.segment + 1
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +124,37 @@ def vertex_universe(d: Decomposition) -> Universe:
                 if seg.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA):
                     rays.add(Ray(v.tag, v.index - t.stride, -t.stride))
     return frozenset(finite), frozenset(rays)
+
+
+# ---------------------------------------------------------------------------
+# Counting templates
+
+
+class CountingBags(tuple):
+    """A bag tuple that counts the bags read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        out = super().__getitem__(i)
+        self.reads += len(out) if isinstance(i, slice) else 1
+        return out
+
+    def __iter__(self):
+        for b in super().__iter__():
+            self.reads += 1
+            yield b
+
+
+@dataclass(frozen=True)
+class CountingPeriodicBags(PeriodicBags):
+    """A periodic template that logs the offset of every bag it builds."""
+
+    built: list = field(default_factory=list, compare=False, repr=False)
+
+    def bag(self, i: int) -> Bag:
+        self.built.append(i)
+        return super().bag(i)
 
 
 # ---------------------------------------------------------------------------

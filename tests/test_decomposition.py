@@ -10,7 +10,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linedecomp.line import (
     Cut,
@@ -21,7 +21,9 @@ from linedecomp.line import (
     Segment,
     SegmentKind,
     UnsupportedScopeError,
+    check_cut,
     compare_points,
+    cut_key,
     enumerate_cuts,
     fin,
     omega,
@@ -40,6 +42,7 @@ from linedecomp.decomposition import (
     bag_at,
     bag_of,
     boundary_split,
+    boundary_splits,
     full_vertices,
     limit_vertices,
     remove_from_bags,
@@ -53,7 +56,14 @@ from linedecomp.decomposition import (
 )
 from linedecomp.oracle import materialize, random_decomposition
 
-from conftest import _random_periodic
+from conftest import (
+    CountingBags,
+    _random_periodic,
+    point_just_above_cut,
+    point_just_below_cut,
+    segment_above_cut,
+    segment_below_cut,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +277,6 @@ def test_verify_names_the_least_failing_vertex_across_finite_segments(case):
         assert_counterexample_sound(d, rep)
 
 
-class CountingBags(tuple):
-    """A bag tuple that counts the bags read from it."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        out = super().__getitem__(i)
-        self.reads += len(out) if isinstance(i, slice) else 1
-        return out
-
-    def __iter__(self):
-        for b in super().__iter__():
-            self.reads += 1
-            yield b
-
-
 @pytest.mark.parametrize("max_bag", [2, 6])
 def test_verify_reads_each_bag_a_bounded_number_of_times(max_bag):
     chain = random_decomposition(random.Random(400), bags=400, max_bag=max_bag)
@@ -481,6 +475,83 @@ def test_apex_junction_split():
     d = Decomposition(Line.of(omega_star(), omega()), (left, right))
     c = Cut(0, CutPosition.AFTER_OFFSET, -1)
     assert boundary_split(d, c) == bag_of(("u", 0))
+
+
+def oracle_split(d, c):
+    """The split at one cut from the two points around it, read off the
+    cut's own spelling."""
+    below = point_just_below_cut(d.line, c)
+    above = point_just_above_cut(d.line, c)
+    down = (bag_at(d, below) if below is not None
+            else full_vertices(d, segment_below_cut(c)))
+    up = (bag_at(d, above) if above is not None
+          else full_vertices(d, segment_above_cut(d.line, c)))
+    return down & up
+
+
+@st.composite
+def cut_lists(draw):
+    """A decomposition, periodic or on several finite segments, and cuts of
+    it with every BEFORE_SEGMENT spelling: in line order, reversed,
+    shuffled, or drawn with repeats."""
+    if draw(st.booleans()):
+        d, _ = draw(finite_segments())
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        while True:
+            try:
+                d = _random_periodic(rng)
+                break
+            except ValueError:
+                continue
+    line = d.line
+    cuts = enumerate_cuts(line, 3) + [
+        Cut(j, CutPosition.BEFORE_SEGMENT) for j, seg in enumerate(line.segments)
+        if j > 0 and seg.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA)]
+    cuts.sort(key=lambda c: cut_key(line, c))
+    how = draw(st.sampled_from(["order", "reversed", "shuffled", "repeats"]))
+    if how == "reversed":
+        cuts.reverse()
+    elif how == "shuffled":
+        cuts = draw(st.permutations(cuts))
+    elif how == "repeats" and cuts:
+        cuts = draw(st.lists(st.sampled_from(cuts), max_size=20))
+    return d, cuts
+
+
+# two rays over one tag: at the limit cut between them the first bag of
+# each ray meets the other, but only full_vertices belongs in the split
+_RAYS = PeriodicBags(1, (bag_of(("u", 0), ("u", 1)),), 1)
+
+
+@given(cut_lists())
+@example((Decomposition(Line.of(omega(), omega()), (_RAYS, _RAYS)),
+          [Cut(0, CutPosition.AFTER_SEGMENT)]))
+def test_boundary_splits_match_the_per_cut_oracle(case):
+    d, cuts = case
+    assert boundary_splits(d, cuts) == tuple(oracle_split(d, c) for c in cuts)
+
+
+@pytest.mark.parametrize("bad", [
+    Cut(0, CutPosition.BEFORE_SEGMENT),  # the empty interval
+    Cut(1, CutPosition.BEFORE_SEGMENT),  # below a finite segment
+    Cut(1, CutPosition.AFTER_SEGMENT),  # above a finite segment
+    Cut(1, CutPosition.AFTER_OFFSET, 1),  # the full line
+    Cut(1, CutPosition.AFTER_OFFSET, 2),  # past the segment
+    Cut(2, CutPosition.AFTER_OFFSET, 0),  # past the line
+])
+def test_boundary_splits_refuses_an_invalid_cut_like_boundary_split(bad):
+    d = Decomposition(Line.of(zeta(), fin(2)),
+                      (PeriodicBags(1, (bag_of(("v", 0), ("v", 1)),), 1),
+                       ExplicitBags((bag_of("a"), bag_of("a")))))
+    good = Cut(0, CutPosition.AFTER_OFFSET, 0)
+    with pytest.raises(ValueError) as expected:
+        check_cut(d.line, bad)
+    with pytest.raises(ValueError) as one:
+        boundary_split(d, bad)
+    with pytest.raises(ValueError) as many:
+        boundary_splits(d, [good, bad, good])
+    assert str(one.value) == str(many.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,11 @@ from linedecomp.line import (
     omega,
     omega_star,
     ordinal_line,
-    point_just_above_cut,
-    point_just_below_cut,
     reverse_line,
-    segment_above_cut,
     zeta,
 )
+
+from conftest import point_just_above_cut, point_just_below_cut, segment_above_cut
 
 # ---------------------------------------------------------------------------
 # oracles: membership and reversal of points and cuts, spelled out from the

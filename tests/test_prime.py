@@ -320,9 +320,9 @@ def test_factor_tree_depth_three():
 
 
 def test_compose_tree_sums_only_several_pieces(monkeypatch):
-    # a lone piece goes straight to substitute, which verifies it; only a
-    # sum of two or more pieces needs concat_components and its verify.
-    # Here the top substituend is one piece, the one below it two.
+    # a sum of two or more pieces is glued unchecked and verified once, by
+    # substitute, like a lone piece.  Here the top substituend is one
+    # piece, the one below it two.
     d = explicit({V("p"), V("v")},
                  {V("v"), V("w"), V("a")},
                  {V("v"), V("w"), V("b")},
@@ -331,15 +331,19 @@ def test_compose_tree_sums_only_several_pieces(monkeypatch):
                  {V("v"), V("q")})
     t = factor_tree(d)
     assert [len(ps) for ps in t.children.values()] == [1]
-    sums = []
+    (inner,) = next(iter(t.children.values()))
+    assert [len(ps) for ps in inner.children.values()] == [2]
+    sums = [concat_components([compose_tree(p) for p in ps])
+            for ps in inner.children.values()]
+    checked = []
 
-    def counting(parts):
-        sums.append(len(parts))
-        return concat_components(parts)
+    def counting(x):
+        checked.append(x)
+        return verify(x)
 
-    monkeypatch.setattr(linedecomp.prime, "concat_components", counting)
+    monkeypatch.setattr(linedecomp.prime, "verify", counting)
     assert compose_tree(t) == d
-    assert sums == [2]
+    assert [checked.count(s) for s in sums] == [1]
 
 
 def test_factor_reads_connectivity_off_the_bags(monkeypatch):

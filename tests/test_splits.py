@@ -45,6 +45,8 @@ from linedecomp.splits import (
     split_bounds,
 )
 
+from conftest import CountingBags, CountingPeriodicBags
+
 AO = CutPosition.AFTER_OFFSET
 
 
@@ -389,3 +391,29 @@ def test_built_families_match_brute_enumeration(random_corpus):
         _check_against_brute(families, list(a.window_splits))
         checked += len(families)
     assert checked > 200
+
+
+# ---------------------------------------------------------------------------
+# Bag builds: one sweep shares each point between neighbouring cuts
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_analyze_splits_builds_each_window_bag_once(k):
+    band = witness_family(k).templates[0]
+    t = CountingPeriodicBags(band.period, band.residues, band.stride, band.constant)
+    d = Decomposition(Line.of(zeta()), (t,))
+    sa = analyze_splits(d)
+    assert sa.window_splits == analyze_splits(witness_family(k)).window_splits
+    families = len(sa.low) + len(sa.high)
+    # the window's run of cuts builds one bag more than it has cuts, and
+    # each family at most its two samples' four boundary bags
+    assert len(t.built) <= len(sa.window_cuts) + len(d.line.segments) + 4 * families
+
+
+def test_repeated_splits_reads_each_bag_once():
+    chain = tidy(random_decomposition(random.Random(400), bags=400, max_bag=5))
+    bags = CountingBags(chain.templates[0].bags)
+    d = Decomposition(chain.line, (ExplicitBags(bags),))
+    bags.reads = 0
+    repeated_splits(d)
+    assert bags.reads == len(bags)
