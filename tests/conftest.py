@@ -74,6 +74,83 @@ def segment_above_cut(line: Line, c: Cut) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Exact path-width by pushing
+#
+# The vertex-separation DP as the library first wrote it: boundaries counted
+# vertex by vertex, and every dp[S] pushed forward to each S + v, keeping the
+# first strict improvement and the vertex that gave it.  The library pulls
+# instead; the tests check that it returns the same value and the same bags.
+
+
+def pathwidth_push(g) -> tuple[int, tuple[Bag, ...]]:
+    """Path-width of a finite graph and the bags of its elimination order."""
+    verts = sorted(g.vertices)
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * n
+    for e in g.edges:
+        u, w = tuple(e)
+        adj[index[u]] |= 1 << index[w]
+        adj[index[w]] |= 1 << index[u]
+
+    full = (1 << n) - 1
+    INF = n + 1
+    dp = [INF] * (full + 1)
+    parent = [-1] * (full + 1)
+    bnd = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        b = 0
+        m = mask
+        while m:
+            lw = m & -m
+            if adj[lw.bit_length() - 1] & ~mask & full:
+                b += 1
+            m ^= lw
+        bnd[mask] = b
+
+    dp[0] = 0
+    for mask in range(full + 1):
+        cur = dp[mask]
+        if cur >= INF:
+            continue
+        free = full & ~mask
+        while free:
+            low = free & -free
+            nm = mask | low
+            cost = cur if cur > bnd[nm] else bnd[nm]
+            if cost < dp[nm]:
+                dp[nm] = cost
+                parent[nm] = low.bit_length() - 1
+            free ^= low
+
+    order_rev = []
+    mask = full
+    while mask:
+        v = parent[mask]
+        order_rev.append(v)
+        mask ^= 1 << v
+    order = order_rev[::-1]
+
+    # Bag i holds v_i plus every earlier vertex with a neighbour at or past i.
+    maxnbr = [-1] * n
+    pos = {v: i for i, v in enumerate(order)}
+    for e in g.edges:
+        u, w = tuple(e)
+        a, b = pos[index[u]], pos[index[w]]
+        if a > b:
+            a, b = b, a
+        maxnbr[a] = max(maxnbr[a], b)
+    bags = []
+    for i in range(n):
+        bag = {verts[order[i]]}
+        for j in range(i):
+            if maxnbr[j] >= i:
+                bag.add(verts[order[j]])
+        bags.append(frozenset(bag))
+    return dp[full], tuple(bags)
+
+
+# ---------------------------------------------------------------------------
 # Vertex universes
 #
 # The oracle for the vertex set of a presented decomposition.  Presented

@@ -406,6 +406,19 @@ def test_pathwidth_rejects_bad_line(tmp_path, capsys):
     assert run(capsys, "pathwidth", str(g))[0] == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("".join(f"v:{i} v:{i + 1}\n" for i in range(20)), "capped at 20"),
+    ("", "empty graph"),
+])
+def test_pathwidth_refuses_beyond_its_scope(tmp_path, capsys, text, message):
+    g = tmp_path / "g.txt"
+    g.write_text(text)
+    code, out, err = run(capsys, "pathwidth", str(g))
+    assert code == 1
+    assert message in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_witness_command_matches_library(capsys):
     code, out, _ = run(capsys, "witness", "3")
     assert code == 0

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linedecomp.line import Line, Point, all_points, fin
 from linedecomp.decomposition import (
@@ -31,6 +33,8 @@ from linedecomp.oracle import (
     random_decomposition,
     witness_family,
 )
+
+from conftest import pathwidth_push
 
 
 def perm_vertex_separation(g: FiniteGraph) -> int:
@@ -100,6 +104,28 @@ def test_pathwidth_matches_permutation_search():
             built = graph_from_bags(bag_at(d, p) for p in all_points(d.line))
             assert g.edges <= built.edges
             assert g.vertices == built.vertices
+
+
+@st.composite
+def small_graphs(draw, max_vertices=10):
+    n = draw(st.integers(1, max_vertices))
+    vs = [V("v", i) for i in range(n)]
+    pairs = list(itertools.combinations(vs, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return FiniteGraph(frozenset(vs),
+                       frozenset(frozenset(p) for p, k in zip(pairs, keep) if k))
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_pathwidth_matches_the_push_dp(g):
+    """Same value and same bags, so the tie-break and the early stop pick the
+    elimination order the push DP picked; the value is exact up to 7
+    vertices by permutation search."""
+    pw, d = pathwidth_exact(g)
+    assert (pw, d.templates[0].bags) == pathwidth_push(g)
+    if len(g.vertices) <= 7:
+        assert pw == perm_vertex_separation(g)
 
 
 def test_pathwidth_cap_and_empty():
@@ -234,6 +260,34 @@ def test_random_decompositions_are_valid():
 
 # ---------------------------------------------------------------------------
 # Edge-list text
+
+
+@pytest.mark.parametrize("v", [V("x:1"), V("q:z"), V("a b"), V("")],
+                         ids=["colon-index", "colon-word", "space", "empty"])
+def test_edge_list_refuses_a_vertex_its_text_cannot_carry(v):
+    # x:1 would read back as the mobile ("x", 1); the others make the reader
+    # raise or drop the vertex
+    g = FiniteGraph(frozenset({v, V("y", 0)}), frozenset({frozenset({v, V("y", 0)})}))
+    with pytest.raises(ValueError, match=re.escape(repr(v))):
+        graph_to_edge_list(g)
+
+
+def test_edge_list_refusal_names_the_least_such_vertex():
+    g = FiniteGraph(frozenset({V("x:1"), V("a b"), V("m", 3)}), frozenset())
+    with pytest.raises(ValueError, match=re.escape(repr(V("a b")))):
+        graph_to_edge_list(g)
+
+
+ordinary_vertices = st.one_of(
+    st.builds(V, st.text("ab_-1", min_size=1, max_size=3)),
+    st.builds(V, st.text("ab_-1:", min_size=1, max_size=3), st.integers(-20, 20)))
+
+
+@given(st.lists(ordinary_vertices, min_size=1, max_size=6, unique=True), st.randoms())
+def test_edge_list_round_trips_ordinary_tags(vs, rng):
+    es = [frozenset(p) for p in itertools.combinations(vs, 2) if rng.random() < 0.5]
+    g = FiniteGraph(frozenset(vs), frozenset(es))
+    assert graph_from_edge_list(graph_to_edge_list(g)) == g
 
 
 def test_edge_list_roundtrip():
