@@ -140,7 +140,7 @@ def _segment_from_json(obj, statics: frozenset[str], where: str):
     if not isinstance(obj, dict):
         _fail(where, "expected an object")
     kind_name = obj.get("kind")
-    if kind_name not in _KINDS:
+    if not isinstance(kind_name, str) or kind_name not in _KINDS:
         _fail(f"{where}.kind", f"expected one of {sorted(_KINDS)}")
     kind = _KINDS[kind_name]
 
@@ -182,6 +182,8 @@ def parse_document(text: str) -> Decomposition:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except (RecursionError, ValueError) as e:  # nesting depth, integer size
+        raise DocumentError(f"top level: {e}") from None
     if not isinstance(obj, dict):
         raise DocumentError("top level: expected an object")
     _expect_keys(obj, "top level", {"segments"}, {"static_tags", "z1", "z2"})

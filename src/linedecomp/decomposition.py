@@ -132,6 +132,18 @@ class PeriodicBags:
         b, r = divmod(i, self.period)
         return shift_set(self.residues[r], self.stride * b) | self.constant
 
+    def offsets_of(self, v: VertexId) -> tuple[int, ...]:
+        """The offsets b*period + r, in order and unclipped, where residue
+        vertex w of residue r shifted by stride * b is v; for mobile v and a
+        nonzero stride.  Each w of v's tag reaches v at most once, in block
+        (v.index - w.index) / stride when that divides, so no block is
+        scanned.  Membership through the constant is not listed."""
+        return tuple(sorted(
+            b * self.period + r
+            for r, res in enumerate(self.residues) for w in res
+            if w.is_mobile and w.tag == v.tag
+            for b, rem in [divmod(v.index - w.index, self.stride)] if rem == 0))
+
 
 BagTemplate = Union[ExplicitBags, PeriodicBags]
 
@@ -261,35 +273,9 @@ def _occurrence_in_segment(d: Decomposition, j: int, v: VertexId, occ):
         if len(rs) == t.period:
             return ("all",)
         return ("residues", rs)
-    lo, hi = _block_range(d.line.segments[j].kind)
-    offs = set()
-    for r, res in enumerate(t.residues):
-        for w in res:
-            if w.is_mobile and w.tag == v.tag:
-                num = v.index - w.index
-                if num % t.stride == 0:
-                    b = num // t.stride
-                    if (lo is None or b >= lo) and (hi is None or b <= hi):
-                        offs.add(b * t.period + r)
-    return ("offsets", tuple(sorted(offs))) if offs else ("none",)
-
-
-def _orbit_patterns(t: PeriodicBags) -> dict[tuple[str, int], list[int]]:
-    """For each (tag, index class mod |stride|): the offset pattern of one
-    orbit representative, unclipped.  Every vertex (tag, c + stride*k) occurs
-    at pattern + k*period, so one contiguity check covers the whole orbit."""
-    pats: dict[tuple[str, int], list[int]] = {}
-    s = t.stride
-    entries = [(w, r) for r, res in enumerate(t.residues)
-               for w in res if w.is_mobile]
-    classes = {(w.tag, w.index % abs(s)) for w, _ in entries}
-    for tag, c in classes:
-        offs = set()
-        for w, r in entries:
-            if w.tag == tag and (c - w.index) % s == 0:
-                offs.add(((c - w.index) // s) * t.period + r)
-        pats[(tag, c)] = sorted(offs)
-    return pats
+    seg = d.line.segments[j]
+    offs = tuple(o for o in t.offsets_of(v) if seg.contains_offset(o))
+    return ("offsets", offs) if offs else ("none",)
 
 
 def _gap_counterexample(j: int, offs: list[int]) -> tuple:
@@ -425,15 +411,19 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
     candidates: set[VertexId] = set()
 
     # 1) shifted orbits within one periodic segment: a pattern with a gap
-    #    breaks every member, so one representative stands for the orbit,
-    #    slid until its whole pattern is admissible and it avoids the
-    #    finitely many constant vertices
+    #    breaks every member (the vertex stride*k further occurs at the
+    #    offsets plus k*period), so one representative per (tag, index mod
+    #    |stride|) stands for the orbit, slid until its whole pattern is
+    #    admissible and it avoids the finitely many constant vertices
     for j, (seg, t) in enumerate(zip(d.line.segments, d.templates)):
         if isinstance(t, PeriodicBags) and t.stride != 0:
-            for (tag, c), pattern in _orbit_patterns(t).items():
+            reps = {VertexId(w.tag, w.index % abs(t.stride))
+                    for res in t.residues for w in res if w.is_mobile}
+            for v in reps:
+                pattern = t.offsets_of(v)
                 if len(pattern) > 1 and pattern[-1] - pattern[0] + 1 != len(pattern):
-                    shift_blocks = _expose_shift(seg.kind, t, pattern, tag, c)
-                    candidates.add(VertexId(tag, c + t.stride * shift_blocks))
+                    k = _expose_shift(seg.kind, t, pattern, v)
+                    candidates.add(v.shift(t.stride * k))
 
     # 2) vertices shared between two shifted periodic templates.  At most one
     #    vertex per solution family can have its earlier occurrence pinned to
@@ -468,17 +458,16 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
                key=lambda bad: bad[0], default=None)
 
 
-def _expose_shift(kind: SegmentKind, t: PeriodicBags, pattern, tag, c) -> int:
+def _expose_shift(kind: SegmentKind, t: PeriodicBags, pattern, v: VertexId) -> int:
     """Blocks to slide an orbit pattern so every offset is admissible and the
-    representative vertex is not pinned by the constant set."""
+    slid representative vertex is not pinned by the constant set."""
     p = t.period
     k = 0
     while True:
         offs = [o + k * p for o in pattern]
         ok = ((kind is not SegmentKind.OMEGA or offs[0] >= 0)
               and (kind is not SegmentKind.OMEGA_STAR or offs[-1] <= -1))
-        v = VertexId(tag, c + t.stride * k)
-        if ok and v not in t.constant:
+        if ok and v.shift(t.stride * k) not in t.constant:
             return k
         k = k + 1 if kind is not SegmentKind.OMEGA_STAR else k - 1
 
@@ -694,15 +683,10 @@ def remove_from_bags(d: Decomposition, s: Bag) -> Optional[Decomposition]:
                 segs.append(fin(len(bags)))
                 temps.append(ExplicitBags(tuple(bags)))
             continue
-        if t.stride != 0:
-            for v in s:
-                if v.is_mobile and v not in t.constant:
-                    hit = any(w.is_mobile and w.tag == v.tag
-                              and (v.index - w.index) % t.stride == 0
-                              for r in t.residues for w in r)
-                    if hit:
-                        raise UnsupportedScopeError(
-                            "cannot remove a vertex that rides the stride")
+        if t.stride != 0 and any(v.is_mobile and v not in t.constant
+                                 and t.offsets_of(v) for v in s):
+            raise UnsupportedScopeError(
+                "cannot remove a vertex that rides the stride")
         res = tuple(r - s for r in t.residues)
         const = t.constant - s
         keep = [r for r in range(t.period) if res[r] | const]
@@ -834,16 +818,12 @@ def _zone_for_segment(d: Decomposition, j: int) -> _Zone:
         return _Zone(j, seg.kind, t, 0, list(t.bags))
     p = t.period
     specials: set[int] = set()
-    if t.stride != 0 and t.constant:
-        cm = [(v.tag, v.index) for v in t.constant if v.is_mobile]
-        for r in t.residues:
-            for w in r:
-                if w.is_mobile:
-                    for tag, n in cm:
-                        if tag == w.tag and (n - w.index) % t.stride == 0:
-                            b = (n - w.index) // t.stride
-                            specials.update({b - 1, b, b + 1})
-    lo_b, hi_b = _block_range(seg.kind)
+    if t.stride != 0:
+        for c in t.constant:
+            if c.is_mobile:
+                for o in t.offsets_of(c):
+                    b = o // p
+                    specials.update({b - 1, b, b + 1})
     if seg.kind is SegmentKind.OMEGA:
         blk_lo = 0
         blk_hi = max([1] + [b for b in specials if b >= 0]) + 1

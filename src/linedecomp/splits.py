@@ -96,15 +96,9 @@ def _template_reach(t: PeriodicBags) -> int:
         reach = max(reach, p * (max(per_tag.values()) + 2))
     if t.stride:
         for c in t.constant:
-            if c.index is None:
-                continue
-            for res in t.residues:
-                for w in res:
-                    if w.index is None or w.tag != c.tag:
-                        continue
-                    q, rem = divmod(c.index - w.index, t.stride)
-                    if rem == 0:
-                        reach = max(reach, p * (abs(q) + 3))
+            if c.is_mobile:
+                for o in t.offsets_of(c):
+                    reach = max(reach, p * (abs(o // p) + 3))
     return reach
 
 
@@ -226,51 +220,47 @@ class SplitFamily:
 
 def _classify_deep(d: Decomposition, j: int, direction: int,
                    base: int) -> tuple[SplitFamily, ...]:
-    """How splits behave marching outward from the window edge of segment j.
+    """How splits behave marching outward from the window edge of segment j:
+    one family per alignment class, the cuts after offset base + direction * a
+    plus whole periods, for a < period.
 
-    Evaluates one full period of alignment classes at the edge block and the
-    block beyond it, and fits each class to a constant or marching family.
-    Anything else cannot be numbered by an integer interval, so it is
-    rejected as out of scope rather than mis-indexed.
+    The split formula: past the window both bags at a cut are template bags,
+    so the split at offset o = b * period + r is t.bag(o) & t.bag(o + 1) =
+    shift(base_r, stride * b) | C.  Here C is the segment constant and base_r
+    is residue r met with residue r + 1, the last residue meeting residue 0
+    shifted by one stride; this holds because (A | C) & (B | C) = (A & B) | C
+    and a shift commutes with &.  So a class's split at block b is
+    C | shift(Y, step * b) for its split Y at the edge, and each class is
+    read off its edge cut alone.  Its fixed part is the statics and C; with
+    a nonzero stride every other vertex moves one step per block, however
+    many consecutive cuts it sits in, and with a zero stride nothing moves.
 
-    A marching class's fixed part is read off the template, not off the
-    samples: the vertices the shift leaves alone are the statics and the
-    segment constant.  Every other vertex of the split moves one stride per
-    block, however many consecutive samples it happens to sit in (a split
-    of size m that marches one index per block keeps a vertex for m blocks).
-
-    Why the samples suffice: both bags at a cut past the window are
-    template bags, so the split at block b is exactly C | shift(Y, step * b)
-    for the segment constant C and the split's moving part Y at block 0.
-    That is the family formula unless a moving vertex coincides with an
-    indexed vertex of C, which happens only in block (c.index - w.index) /
-    stride for residue vertex w and constant vertex c.  _template_reach
-    stretches the reach past that many periods, and split_budget places
-    block 0 at least twice the reach out, so it never happens from block 0
-    on: that is the family invariant, so two samples tell constant from
-    marching.  The one-step guard re-checks the formula on them; a refusal
-    from it means the sizing missed a coincidence.
+    The guard: the family formula and its invariant (the shifted mobile part
+    never lands on a fixed vertex) hold from block 0 on exactly when no
+    mobile vertex c of C lies in the class's shifted base at any block on
+    the deep side, that is, when no offsets o and o + 1 both in
+    t.offsets_of(c) have o in the class at or beyond the edge.  If one such
+    c does, either its preimage at the edge lies outside C, and the shifted
+    mobile part lands on c, or it lies in C too, and the formula loses the
+    first vertex of that orbit beyond C.  split_budget places block 0 past
+    every such coincidence (_template_reach), so a refusal means the sizing
+    missed one; the class cannot be numbered by an integer interval, so it
+    is refused as out of scope rather than mis-indexed.
     """
     t = d.templates[j]
     p = t.period
     step = t.stride * direction
+    hits = [o for c in t.constant if c.is_mobile and t.stride
+            for offs in [t.offsets_of(c)] for o in offs if o + 1 in offs]
     out = []
-    # the two samples of every class are the 2p consecutive cuts from base
-    offs = sorted(base + direction * i for i in range(2 * p))
-    at = dict(zip(offs, boundary_splits(
-        d, [Cut(j, CutPosition.AFTER_OFFSET, o) for o in offs])))
     for a in range(p):
         off = base + direction * a
-        s0, s1 = at[off], at[off + direction * p]
-        if s0 == s1:
-            out.append(SplitFamily(j, direction, off, p, step, s0, frozenset()))
-            continue
-        fixed = frozenset(v for v in s0 if v.is_static or v in t.constant)
-        if s1 == fixed | shift_set(s0 - fixed, step):
-            out.append(SplitFamily(j, direction, off, p, step, fixed, s0 - fixed))
-        else:
+        if any((o - off) % p == 0 and (o - off) * direction >= 0 for o in hits):
             raise UnsupportedScopeError(
                 f"splits do not stabilize beyond the window in segment {j}")
+        s = t.bag(off) & t.bag(off + 1)
+        mobile = frozenset(v for v in s - t.constant if v.is_mobile and t.stride)
+        out.append(SplitFamily(j, direction, off, p, step, s - mobile, mobile))
     return tuple(out)
 
 

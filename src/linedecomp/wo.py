@@ -145,10 +145,11 @@ def to_wo(d: Decomposition) -> Decomposition:
     The output is verified, covers the same clique-completed graph, keeps
     the designated limit sets, and has width at most 2k - |z1| where k is
     the input width.  An already well-ordered input is returned itself.
-    Raises ValueError when the input does not verify or when more left-limit
-    vertices are designated than the minimum split size allows, and
+    Raises ValueError when the input does not verify, and
     UnsupportedScopeError when a rebuilt piece has no presentation in this
-    form.
+    form or when more left-limit vertices are designated than the minimum
+    split size: this rebuild does not handle that case, although a rebuild
+    may exist.
     """
     _verified(d)
     if is_well_order(d.line):
@@ -188,9 +189,10 @@ def _plan(a: SplitAnalysis) -> list[_Piece]:
         raise UnsupportedScopeError("a line without cuts that is not a "
                                     "well-order has no rebuild here")
     if len(a.d.z1) > idx.m:
-        raise ValueError(
+        raise UnsupportedScopeError(
             f"{len(a.d.z1)} left-limit vertices are designated but some "
-            f"split has only {idx.m}; no rebuild keeps them all leftmost")
+            f"split has only {idx.m}; this rebuild does not handle more "
+            f"designated vertices than the minimum split size")
     if idx.m == 0:
         return _rebuild_components(a)
     if idx.lo is None:

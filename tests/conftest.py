@@ -1,5 +1,6 @@
 """Fixtures and oracles shared by several test modules."""
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -148,6 +149,53 @@ def pathwidth_push(g) -> tuple[int, tuple[Bag, ...]]:
                 bag.add(verts[order[j]])
         bags.append(frozenset(bag))
     return dp[full], tuple(bags)
+
+
+# ---------------------------------------------------------------------------
+# The band certificate by enumeration
+#
+# certificate_lowerbound as the library first wrote it: fact (b) decided by
+# listing every set that holds the anchor block, up to the cap.  The library
+# counts the matching edges that miss the block instead; the tests check
+# that both give the same answer at every cap.  The cost grows about 4x per
+# k, so the tests stop at k = 7.
+
+
+def certificate_by_enumeration(k: int, max_set_size: Optional[int] = None) -> bool:
+    """The three-block lower-bound certificate of witness_family(k)."""
+    limit = 2 * k if max_set_size is None else max_set_size
+    v = lambda i: VertexId("v", i)
+    pool = [v(i) for i in range(-k - 1, 2 * k + 2)]
+    edges = {frozenset((v(a), v(b))) for a in range(-k - 1, 2 * k + 2)
+             for b in range(a + 1, min(a + k, 2 * k + 1) + 1)}
+    blocks = {
+        "L": frozenset(v(i) for i in range(-k - 1, 0)),
+        "M": frozenset(v(i) for i in range(0, k + 1)),
+        "R": frozenset(v(i) for i in range(k + 1, 2 * k + 2)),
+    }
+    for b in blocks.values():
+        if any(frozenset(e) not in edges for e in itertools.combinations(b, 2)):
+            return False
+    for b1, b2 in itertools.combinations(blocks.values(), 2):
+        if b1 & b2 or len(b1 | b2) <= limit:
+            return False
+    matching_mr = [frozenset((v(t), v(t + k))) for t in range(1, k + 1)]
+    matching_lm = [frozenset((v(t - k - 1), v(t - 1))) for t in range(1, k + 1)]
+    for matching in (matching_mr, matching_lm):
+        ends: set[VertexId] = set()
+        for e in matching:
+            if e not in edges or e & ends:
+                return False
+            ends |= e
+    for anchor, matching in (("L", matching_mr), ("R", matching_lm)):
+        base = blocks[anchor]
+        others = [u for u in pool if u not in base]
+        for r in range(limit - len(base) + 1):
+            for extra in itertools.combinations(others, r):
+                w = base | frozenset(extra)
+                if all(e & w for e in matching):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

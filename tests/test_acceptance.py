@@ -99,6 +99,24 @@ def test_witness_tightness():
     )
 
 
+def test_witness_tightness_at_every_width():
+    t0 = time.perf_counter()
+    for k in range(1, 33):
+        out = to_wo(witness_family(k))  # to_wo verifies what it returns
+        assert is_well_order(out.line)
+        assert width(out) == 2 * k, f"width {width(out)} != {2 * k}"
+    certified = (*range(1, 9), 16, 32, 64)
+    for k in certified:
+        assert certificate_lowerbound(k), f"k={k}: certificate fails"
+    took = time.perf_counter() - t0
+    report(
+        "witness tightness at every width",
+        took < 10.0,
+        f"k=1..32 rebuilt to width exactly 2k, certified at k={certified}, "
+        f"{took:.1f}s",
+    )
+
+
 # ---------------------------------------------------------------------------
 # 2. Equal-size splits of one decomposition are totally ordered
 

@@ -293,6 +293,27 @@ def test_check_malformed_document(tmp_path, capsys):
     assert "document error" in err
 
 
+@pytest.mark.parametrize("kind", ['["fin"]', "{}", "1", "null"])
+@pytest.mark.parametrize("argv", [["check"], ["tidy"], ["splits"], ["to-wo"],
+                                  ["factor"], ["render"], ["probe"]])
+def test_non_string_kind_is_a_document_error(tmp_path, capsys, kind, argv):
+    text = '{"segments": [{"kind": %s, "bags": [[["v", 0]]]}]}' % kind
+    code, out, err = run(capsys, *argv, save(tmp_path, text))
+    assert code == 2
+    assert "segments[0].kind" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    '{"segments": [{"kind": "omega", "period": %s, "templates": []}]}' % ("9" * 5000),
+], ids=["deep-nesting", "huge-integer"])
+def test_json_the_decoder_cannot_hold_is_a_document_error(tmp_path, capsys, text):
+    code, out, err = run(capsys, "check", save(tmp_path, text))
+    assert code == 2
+    assert err.startswith("document error: top level") and out == ""
+
+
 def test_check_reports_a_wide_band_prime(tmp_path, capsys):
     path = save(tmp_path, emit_document(witness_family(4)))
     code, out, _ = run(capsys, "check", path)
@@ -400,6 +421,17 @@ def test_pathwidth_rejects_loops(tmp_path, capsys):
     assert "loop" in err
 
 
+@pytest.mark.parametrize("text", ["x:1_0 x:10\n", "x:+3 y\n", "x:\u0663 y\n"],
+                         ids=["underscore", "plus", "arabic-indic-digit"])
+def test_pathwidth_reads_only_ascii_decimal_indices(tmp_path, capsys, text):
+    g = tmp_path / "g.txt"
+    g.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "pathwidth", str(g))
+    assert code == 2
+    assert "bad vertex index" in err and text.strip() in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_pathwidth_rejects_bad_line(tmp_path, capsys):
     g = tmp_path / "g.txt"
     g.write_text("a b c\n")
@@ -431,6 +463,12 @@ def test_witness_rejects_nonpositive(capsys):
 
 def test_certify_command(capsys):
     code, out, _ = run(capsys, "certify", "1")
+    assert code == 0
+    assert "certified" in out
+
+
+def test_certify_counts_at_width_64(capsys):
+    code, out, _ = run(capsys, "certify", "64")
     assert code == 0
     assert "certified" in out
 

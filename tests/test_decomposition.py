@@ -177,6 +177,34 @@ def test_template_validation():
         Decomposition(Line.of(omega()), (ExplicitBags((bag_of("a"),)),))
 
 
+_OFFSET_POOL = [V("s"), *(V(tag, i) for tag in "ab" for i in range(-3, 4))]
+
+
+@st.composite
+def stride_template_st(draw):
+    """A periodic template with a nonzero stride, static and mobile residue
+    vertices, and a constant that may hold mobile vertices."""
+    p = draw(st.integers(1, 3))
+    stride = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    residues = tuple(frozenset(draw(st.lists(st.sampled_from(_OFFSET_POOL),
+                                             max_size=4)))
+                     for _ in range(p))
+    constant = frozenset(draw(st.lists(
+        st.builds(V, st.sampled_from("ab"), st.integers(-9, 9)), max_size=3)))
+    return PeriodicBags(p, residues, stride, constant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stride_template_st(), st.sampled_from("ab"), st.integers(-9, 9))
+def test_offsets_of_matches_a_scan_of_blocks(t, tag, index):
+    # indices differ by at most 12, so every hit lies within 12 blocks of 0
+    v = V(tag, index)
+    p = t.period
+    scan = tuple(o for o in range(-13 * p, 14 * p)
+                 if v in shift_set(t.residues[o % p], t.stride * (o // p)))
+    assert t.offsets_of(v) == scan
+
+
 def test_width_generic_blocks():
     # at generic blocks the band misses the pinned vertex, so the width
     # counts both; the single colliding block only makes bags smaller

@@ -121,3 +121,46 @@ def test_every_export_resolves():
     namespace: dict = {}
     exec("from linedecomp import *", namespace)
     assert set(linedecomp.__all__) <= set(namespace)
+
+
+def _own_nodes(fn: ast.AST):
+    """The nodes of a function body outside its nested functions, lambdas
+    and classes, which have scopes of their own."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _dead_local_assignments(path: Path) -> list[str]:
+    """Names a function assigns that neither it nor its nested functions
+    ever read.  Parameters, _ and names declared nonlocal or global are
+    not locals of this kind."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        skip = {"_"} | {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                        a.vararg, a.kwarg) if p is not None}
+        assigned: dict[str, int] = {}
+        for node in _own_nodes(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                skip.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assigned.setdefault(node.id, node.lineno)
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out += [f"{path.name}:{line}: {fn.name} assigns {name}, never read"
+                for name, line in sorted(assigned.items())
+                if name not in read and name not in skip]
+    return out
+
+
+def test_no_dead_local_assignments():
+    bad = [hit for f in sorted(SRC.glob("*.py")) for hit in _dead_local_assignments(f)]
+    assert not bad, "\n".join(bad)

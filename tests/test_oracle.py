@@ -34,7 +34,7 @@ from linedecomp.oracle import (
     witness_family,
 )
 
-from conftest import pathwidth_push
+from conftest import certificate_by_enumeration, pathwidth_push
 
 
 def perm_vertex_separation(g: FiniteGraph) -> int:
@@ -177,6 +177,12 @@ def test_certificate_lowerbound():
         assert certificate_lowerbound(k, max_set_size=2 * k + 1) is False
         # two more and a single set swallows two whole blocks
         assert certificate_lowerbound(k, max_set_size=2 * k + 2) is False
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_certificate_counts_as_the_enumeration_decides(k):
+    for cap in range(2 * k + 4):
+        assert certificate_lowerbound(k, cap) == certificate_by_enumeration(k, cap)
 
 
 # ---------------------------------------------------------------------------

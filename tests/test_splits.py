@@ -28,6 +28,7 @@ from linedecomp.decomposition import (
     bag_at,
     bag_of,
     boundary_split,
+    boundary_splits,
     limit_vertices,
     shift_set,
     tidy,
@@ -43,6 +44,7 @@ from linedecomp.splits import (
     repeated_splits,
     split_at,
     split_bounds,
+    _classify_deep,
 )
 
 from conftest import CountingBags, CountingPeriodicBags
@@ -394,6 +396,64 @@ def test_built_families_match_brute_enumeration(random_corpus):
 
 
 # ---------------------------------------------------------------------------
+# The deep guard: a family is refused exactly when its formula breaks
+
+
+def _family_breaks(f, split, blocks=40):
+    """Does f leave the split formula, or land its shifted mobile part on
+    its fixed part, at some block below `blocks`?  split maps a cut offset
+    to boundary_split there."""
+    return any(f.at(b) != split[f.cut(b).offset]
+               or f.fixed & shift_set(f.mobile, f.step * b)
+               for b in range(blocks))
+
+
+def _colliding_zeta(rng):
+    """A zeta template whose mobile constant shares indices with the
+    residues, so shifted residues run into it near block 0."""
+    p = rng.randint(1, 3)
+    stride = rng.choice([-3, -2, -1, 1, 2, 3])
+    pool = [V("s"), *(V("a", i) for i in range(-2, 3))]
+    residues = tuple(frozenset(rng.sample(pool, rng.randint(1, 3)))
+                     for _ in range(p))
+    constant = frozenset(V("a", rng.randint(-6, 6)) for _ in range(rng.randint(1, 2)))
+    return Decomposition(Line.of(zeta()),
+                         (PeriodicBags(p, residues, stride, constant),))
+
+
+def test_deep_guard_refuses_exactly_the_broken_classes():
+    rng = random.Random(16)
+    accepted = refused = 0
+    for _ in range(100):
+        d = _colliding_zeta(rng)
+        t = d.templates[0]
+        reach = 41 * t.period + 6
+        offsets = range(-reach, reach + 1)
+        split = dict(zip(offsets, boundary_splits(
+            d, [Cut(0, AO, o) for o in offsets])))
+        for direction, base in itertools.product((-1, 1), range(-6, 7)):
+            try:
+                families = _classify_deep(d, 0, direction, base)
+            except UnsupportedScopeError:
+                # the class read off its edge cut, as an accepted one would be
+                refused += 1
+                candidates = []
+                for a in range(t.period):
+                    off = base + direction * a
+                    s = t.bag(off) & t.bag(off + 1)
+                    mobile = frozenset(v for v in s
+                                       if v.is_mobile and v not in t.constant)
+                    candidates.append(SplitFamily(0, direction, off, t.period,
+                                                  t.stride * direction,
+                                                  s - mobile, mobile))
+                assert any(_family_breaks(f, split) for f in candidates)
+                continue
+            accepted += 1
+            assert not any(_family_breaks(f, split) for f in families)
+    assert accepted > 1000 and refused > 100
+
+
+# ---------------------------------------------------------------------------
 # Bag builds: one sweep shares each point between neighbouring cuts
 
 
@@ -406,8 +466,8 @@ def test_analyze_splits_builds_each_window_bag_once(k):
     assert sa.window_splits == analyze_splits(witness_family(k)).window_splits
     families = len(sa.low) + len(sa.high)
     # the window's run of cuts builds one bag more than it has cuts, and
-    # each family at most its two samples' four boundary bags
-    assert len(t.built) <= len(sa.window_cuts) + len(d.line.segments) + 4 * families
+    # each family the two bags at its edge cut
+    assert len(t.built) <= len(sa.window_cuts) + len(d.line.segments) + 2 * families
 
 
 def test_repeated_splits_reads_each_bag_once():

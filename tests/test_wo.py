@@ -382,13 +382,16 @@ def test_to_wo_chains_two_infinite_components():
 
 
 def test_to_wo_rejects_more_designated_than_split():
+    # out of scope, not impossible: fin(2).omega with bags {p,q,y}, {p,q,x},
+    # then {p,q,a_(-1-i)} rebuilds it at width 2 = 2k - |z1|
     d = Decomposition(
         Line.of(omega_star(), fin(2)),
         (PeriodicBags(1, (bag_of(("a", 0)),), 1, bag_of("p", "q")),
          ExplicitBags((bag_of("p", "q", "x"), bag_of("p", "y")))),
         bag_of("p", "q"), frozenset())
     assert verify(d).ok
-    with pytest.raises(ValueError, match="left-limit"):
+    with pytest.raises(UnsupportedScopeError,
+                       match="left-limit vertices are designated"):
         to_wo(d)
 
 
