@@ -123,14 +123,27 @@ class PeriodicBags:
     residues: tuple[Bag, ...]
     stride: int = 0
     constant: Bag = frozenset()
+    bases: tuple[Bag, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.period < 1 or len(self.residues) != self.period:
             raise ValueError("period must match the number of residue templates")
+        after = self.residues[1:] + (shift_set(self.residues[0], self.stride),)
+        object.__setattr__(self, "bases", tuple(
+            a & b for a, b in zip(self.residues, after)))
 
     def bag(self, i: int) -> Bag:
         b, r = divmod(i, self.period)
         return shift_set(self.residues[r], self.stride * b) | self.constant
+
+    def split(self, i: int) -> Bag:
+        """bag(i) & bag(i + 1), by the split formula: for i = b * period + r
+        it is shift(bases[r], stride * b) | constant, where bases[r] is
+        residue r met with residue r + 1, the last residue meeting residue 0
+        shifted by one stride.  Exact because (A | C) & (B | C) = (A & B) | C
+        and a shift commutes with &."""
+        b, r = divmod(i, self.period)
+        return shift_set(self.bases[r], self.stride * b) | self.constant
 
     def offsets_of(self, v: VertexId) -> tuple[int, ...]:
         """The offsets b*period + r, in order and unclipped, where residue
@@ -595,10 +608,11 @@ def boundary_splits(d: Decomposition, cuts: Sequence[Cut]) -> tuple[Bag, ...]:
     open end otherwise; dually above.  So the split is the intersection of
     the two boundary bags, with full_vertices standing in at open ends.
 
-    Cost: one normalize_cut per cut, then offset arithmetic for the two
-    boundary points.  The last bag built is kept, so on a line-ordered cut
-    list consecutive offset cuts share their common point: r such cuts in
-    a row build r + 1 bags, not 2r.  Any order gives the same splits.
+    Cost: one normalize_cut per cut, then one shifted base (PeriodicBags.
+    split) when both points lie in one periodic segment.  Elsewhere the
+    last bag built is kept, so consecutive explicit cuts share their common
+    point: r such cuts in a row build r + 1 bags, not 2r.  Any order gives
+    the same splits.
     """
     segs = d.line.segments
     kept_at, kept = None, frozenset()  # (segment, offset) of the last bag
@@ -614,15 +628,13 @@ def boundary_splits(d: Decomposition, cuts: Sequence[Cut]) -> tuple[Bag, ...]:
     out = []
     for c in cuts:
         c = normalize_cut(d.line, c)  # never BEFORE_SEGMENT from here on
-        j = c.segment
-        if c.position is CutPosition.AFTER_SEGMENT:
-            down = bag(j, None)
+        j, i = c.segment, c.offset  # i is None at a limit cut
+        if i is not None and segs[j].contains_offset(i + 1):
+            t = d.templates[j]
+            out.append(t.split(i) if isinstance(t, PeriodicBags)
+                       else bag(j, i) & bag(j, i + 1))
         else:
-            down = bag(j, c.offset)
-            if segs[j].contains_offset(c.offset + 1):
-                out.append(down & bag(j, c.offset + 1))
-                continue
-        out.append(down & bag(j + 1, segs[j + 1].min_offset))
+            out.append(bag(j, i) & bag(j + 1, segs[j + 1].min_offset))
     return tuple(out)
 
 

@@ -252,15 +252,6 @@ def witness_family(k: int) -> Decomposition:
     return Decomposition(Line.of(zeta()), (t,), frozenset(), frozenset())
 
 
-def _band_window_graph(k: int, lo: int, hi: int) -> FiniteGraph:
-    vs = [VertexId("v", i) for i in range(lo, hi + 1)]
-    es = set()
-    for a in range(lo, hi + 1):
-        for b in range(a + 1, min(a + k, hi) + 1):
-            es.add(frozenset((VertexId("v", a), VertexId("v", b))))
-    return FiniteGraph(frozenset(vs), frozenset(es))
-
-
 def certificate_lowerbound(k: int, max_set_size: Optional[int] = None) -> bool:
     """Check the finite facts that pin the well-ordered width of
     witness_family(k) above 2k - 1.
@@ -275,39 +266,38 @@ def certificate_lowerbound(k: int, max_set_size: Optional[int] = None) -> bool:
     (b) is a count, not a search: the matching edges are pairwise disjoint,
     so a set holding the anchor block meets them all exactly when the edges
     that miss the block number at most the cap less |block|, one added
-    vertex each.  The cost is polynomial in k.
+    vertex each.  Vertices are band indices and the band's edges are the
+    pairs 0 < |i - j| <= k, so no graph is built and the cost is linear in
+    k; a run of consecutive indices is a clique when its ends are adjacent.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     limit = 2 * k if max_set_size is None else max_set_size
-    g = _band_window_graph(k, -k - 1, 2 * k + 1)
-    blocks = {
-        "L": frozenset(VertexId("v", i) for i in range(-k - 1, 0)),
-        "M": frozenset(VertexId("v", i) for i in range(0, k + 1)),
-        "R": frozenset(VertexId("v", i) for i in range(k + 1, 2 * k + 2)),
-    }
-    for b in blocks.values():
-        for u, w in itertools.combinations(sorted(b), 2):
-            if frozenset((u, w)) not in g.edges:
-                return False
+
+    def edge(a: int, b: int) -> bool:
+        return -k - 1 <= min(a, b) and max(a, b) <= 2 * k + 1 and 0 < abs(a - b) <= k
+
+    blocks = {"L": range(-k - 1, 0), "M": range(0, k + 1),
+              "R": range(k + 1, 2 * k + 2)}
+    if any(not edge(b[0], b[-1]) for b in blocks.values()):
+        return False
     for b1, b2 in itertools.combinations(blocks.values(), 2):
-        if b1 & b2:
+        if set(b1) & set(b2):
             return False
-        if len(b1 | b2) <= limit:
+        if len(set(b1) | set(b2)) <= limit:
             return False  # (a): two blocks fit in one allowed set
-    matching_mr = [frozenset((VertexId("v", t), VertexId("v", t + k)))
-                   for t in range(1, k + 1)]
-    matching_lm = [frozenset((VertexId("v", t - k - 1), VertexId("v", t - 1)))
-                   for t in range(1, k + 1)]
+    matching_mr = [(t, t + k) for t in range(1, k + 1)]
+    matching_lm = [(t - k - 1, t - 1) for t in range(1, k + 1)]
     for edges in (matching_mr, matching_lm):
-        ends: set[VertexId] = set()
+        ends: set[int] = set()
         for e in edges:
-            if e not in g.edges or e & ends:
+            if not edge(*e) or ends.intersection(e):
                 return False
-            ends |= e
+            ends.update(e)
     for anchor, edges in (("L", matching_mr), ("R", matching_lm)):
         base = blocks[anchor]
-        if sum(1 for e in edges if not e & base) <= limit - len(base):
+        missed = sum(1 for a, b in edges if a not in base and b not in base)
+        if missed <= limit - len(base):
             return False  # (b): one vertex per missed edge meets them all
     return True
 

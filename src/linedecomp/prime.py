@@ -71,16 +71,10 @@ def splits_all_distinct(d: Decomposition) -> bool:
         if not f.mobile:
             return False  # the same split at every block of the reach
         families.append(f)
-    where = dict(zip(sa.window_splits, sa.window_cuts))
-    if len(where) != len(sa.window_cuts):
-        return False
-    for f in families:
-        for s, c in where.items():
-            # an interior family's block 0 may be this very window cut
-            b = f.meets(s)
-            if b is not None and f.cut(b) != c:
-                return False
-    return not any(a.collides(b) for a, b in itertools.combinations(families, 2))
+    # an interior family's block 0 may be a window cut; past it, any meeting repeats
+    return (len(set(sa.window_splits)) == len(sa.window_splits)
+            and all(f.cut(b) == c for f, b, c in sa.window_meetings(families))
+            and not any(a.collides(b) for a, b in itertools.combinations(families, 2)))
 
 
 # ---------------------------------------------------------------------------

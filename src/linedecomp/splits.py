@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from linedecomp.line import (
     Cut,
@@ -224,16 +224,13 @@ def _classify_deep(d: Decomposition, j: int, direction: int,
     one family per alignment class, the cuts after offset base + direction * a
     plus whole periods, for a < period.
 
-    The split formula: past the window both bags at a cut are template bags,
-    so the split at offset o = b * period + r is t.bag(o) & t.bag(o + 1) =
-    shift(base_r, stride * b) | C.  Here C is the segment constant and base_r
-    is residue r met with residue r + 1, the last residue meeting residue 0
-    shifted by one stride; this holds because (A | C) & (B | C) = (A & B) | C
-    and a shift commutes with &.  So a class's split at block b is
-    C | shift(Y, step * b) for its split Y at the edge, and each class is
-    read off its edge cut alone.  Its fixed part is the statics and C; with
-    a nonzero stride every other vertex moves one step per block, however
-    many consecutive cuts it sits in, and with a zero stride nothing moves.
+    Past the window the split at offset b * period + r is
+    shift(base_r, stride * b) | C by the split formula (PeriodicBags.split),
+    C the segment constant.  So a class's split at block b is
+    C | shift(Y, step * b) for its split Y at the edge cut.  Its fixed part
+    is the statics and C; with a nonzero stride every other vertex moves
+    one step per block, however many consecutive cuts it sits in, and with
+    a zero stride nothing moves.
 
     The guard: the family formula and its invariant (the shifted mobile part
     never lands on a fixed vertex) hold from block 0 on exactly when no
@@ -258,7 +255,7 @@ def _classify_deep(d: Decomposition, j: int, direction: int,
         if any((o - off) % p == 0 and (o - off) * direction >= 0 for o in hits):
             raise UnsupportedScopeError(
                 f"splits do not stabilize beyond the window in segment {j}")
-        s = t.bag(off) & t.bag(off + 1)
+        s = t.split(off)
         mobile = frozenset(v for v in s - t.constant if v.is_mobile and t.stride)
         out.append(SplitFamily(j, direction, off, p, step, s - mobile, mobile))
     return tuple(out)
@@ -428,11 +425,46 @@ class SplitAnalysis:
                 "two marching witness families generate a common split; "
                 "the numbering would list one entry twice")
         # block 0 lies past the window here, so any meeting is a repeat
-        if any(f.meets(s) is not None for f in marching for s in catalogue):
+        if any(self.window_meetings(marching)):
             raise UnsupportedScopeError(
                 "marching witness families repeat a window split; "
                 "the numbering would list one entry twice")
         return marching
+
+    def window_meetings(self, families: Sequence[SplitFamily]
+                        ) -> Iterator[tuple[SplitFamily, int, Cut]]:
+        """Each of the marching families that meets a window split, with the
+        last block b >= 0 where it does and a window cut of that split, from
+        one index of the window per segment.  A split's key is its rest once
+        its moving vertices (mobile, outside the segment constant) are out,
+        their translation class ((tag, index - least index) each) and their
+        least index lo modulo the stride.  By the family invariant a family
+        meets a window split at block b exactly when the keys agree and the
+        split's lo lies step * b past its own.
+        """
+        def keyed(s: Bag, t: PeriodicBags) -> tuple[tuple, int]:
+            moving = [v for v in s if v.is_mobile and v not in t.constant]
+            lo = min((v.index for v in moving), default=0)
+            cls = frozenset((v.tag, v.index - lo) for v in moving)
+            return (s.difference(moving), cls, lo % abs(t.stride)), lo
+
+        for j in sorted({f.segment for f in families}):
+            fs = [f for f in families if f.segment == j]
+            t = self.d.templates[j]
+            sizes = {f.size for f in fs}
+            index: dict[tuple, list[tuple[int, Cut]]] = {}
+            for c, s in zip(self.window_cuts, self.window_splits):
+                if len(s) in sizes and t.constant <= s:
+                    key, lo = keyed(s, t)
+                    index.setdefault(key, []).append((lo, c))
+            for f in fs:
+                key, lo_f = keyed(f.fixed | f.mobile, t)
+                if key in index:
+                    farthest = max if f.step > 0 else min
+                    lo, c = farthest(index[key], key=lambda e: e[0])
+                    b = (lo - lo_f) // f.step  # exact: lo = lo_f mod step
+                    if b >= 0:
+                        yield f, b, c
 
     def empty_cuts(self) -> list[Cut]:
         """All cuts with empty split, in line order.  These chop the graph

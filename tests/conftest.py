@@ -28,6 +28,8 @@ from linedecomp.decomposition import (
     PeriodicBags,
     V,
     VertexId,
+    bag_at,
+    full_vertices,
     verify,
 )
 
@@ -72,6 +74,42 @@ def segment_above_cut(line: Line, c: Cut) -> int:
         return c.segment + 1
     seg = line.segments[c.segment]
     return c.segment if seg.contains_offset(c.offset + 1) else c.segment + 1
+
+
+def oracle_split(d: Decomposition, c: Cut) -> Bag:
+    """The split at one cut as the meet of the two bags around it, each
+    built from its template and read off the cut's own spelling, with
+    full_vertices at an open end."""
+    below = point_just_below_cut(d.line, c)
+    above = point_just_above_cut(d.line, c)
+    down = (bag_at(d, below) if below is not None
+            else full_vertices(d, segment_below_cut(c)))
+    up = (bag_at(d, above) if above is not None
+          else full_vertices(d, segment_above_cut(d.line, c)))
+    return down & up
+
+
+# ---------------------------------------------------------------------------
+# Window meetings by pair scan
+#
+# SplitAnalysis.window_meetings as the library first wrote it, inline in
+# its callers: every marching family tested against every window split with
+# SplitFamily.meets.  The library probes an index of the window instead;
+# the tests check that both find the same meetings and that min_splits and
+# splits_all_distinct decide the same either way.
+
+
+def window_meetings_by_scan(sa, families):
+    """Each marching family that meets a window split, with the last block
+    where it does and the first window cut of the split there."""
+    for f in families:
+        if not f.mobile:
+            continue
+        hits = [(b, c) for c, s in zip(sa.window_cuts, sa.window_splits)
+                for b in [f.meets(s)] if b is not None]
+        if hits:
+            b, c = max(hits, key=lambda h: h[0])
+            yield f, b, c
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Document format round trips, error reporting, and the subcommands."""
 
+import copy
 import io
 import json
 import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linedecomp.cli
 import linedecomp.prime
@@ -28,7 +32,14 @@ from linedecomp.decomposition import (
     bag_of,
     tidy,
 )
-from linedecomp.line import Line, UnsupportedScopeError, fin, omega, zeta
+from linedecomp.line import (
+    Line,
+    UnsupportedScopeError,
+    fin,
+    omega,
+    omega_star,
+    zeta,
+)
 from linedecomp.oracle import witness_family
 from linedecomp.prime import factor
 from linedecomp.wo import to_wo
@@ -473,6 +484,14 @@ def test_certify_counts_at_width_64(capsys):
     assert "certified" in out
 
 
+def test_certify_5000_exits_in_under_a_second(capsys):
+    # band edges are tested by index arithmetic, not by building the band
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "certify", "5000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "k=5000" in out
+
+
 def test_render_command_window(tmp_path, capsys):
     path = save(tmp_path, emit_document(witness_family(1)))
     code, out, _ = run(capsys, "render", path, "--window", "2")
@@ -528,3 +547,75 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/x.json")
     assert code == 2
     assert "error" in err
+
+
+# ---------------------------------------------------------------------------
+# Mutated documents: every subcommand that reads one fails cleanly
+
+
+_MUTATION_DOCS = [
+    json.loads(emit_document(witness_family(2))),
+    json.loads(emit_document(Decomposition(
+        Line.of(omega_star(), fin(1), omega()),
+        (PeriodicBags(2, (bag_of(("u", 0), "c"), bag_of(("u", 1), "c")), 2,
+                      bag_of("p")),
+         ExplicitBags((bag_of("p", "c", ("u", 0)),)),
+         PeriodicBags(1, (bag_of(("w", 0)),), 1, bag_of("p", ("w", 2)))),
+        bag_of("p"), frozenset()))),
+]
+_WRONG_TYPED = [None, True, 0, -3, 2.5, "v", "omega", [], {}, [["v", 0]],
+                {"kind": "fin"}]
+_READERS = [["check"], ["tidy"], ["splits"], ["to-wo"], ["factor"], ["render"],
+            ["probe", "--samples", "3"]]
+
+
+def _nodes(x, path=()):
+    yield path
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _nodes(v, path + (i,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """An emitted witness or periodic document with one to three values
+    replaced by one of another JSON type, dropped, or nested in a list."""
+    doc = copy.deepcopy(draw(st.sampled_from(_MUTATION_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_nodes(doc))))
+        parent, key = None, None
+        node = doc
+        for k in path:
+            parent, key, node = node, k, node[k]
+        how = draw(st.sampled_from(["retype", "drop", "nest"]))
+        if how == "retype":
+            new = copy.deepcopy(draw(st.sampled_from(
+                [v for v in _WRONG_TYPED if type(v) is not type(node)])))
+        elif how == "nest":
+            new = [node]
+        if parent is None:
+            doc = [doc] if how == "nest" else new if how == "retype" else doc
+        elif how == "drop":
+            del parent[key]
+        else:
+            parent[key] = new
+    return json.dumps(doc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_mutated_documents_fail_without_a_traceback(text):
+    for argv in _READERS:
+        out, err = io.StringIO(), io.StringIO()
+        stdin = sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([argv[0], "-", *argv[1:]])
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2), (argv, text)
+        assert "Traceback" not in err.getvalue(), (argv, text)

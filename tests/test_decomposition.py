@@ -59,10 +59,7 @@ from linedecomp.oracle import materialize, random_decomposition
 from conftest import (
     CountingBags,
     _random_periodic,
-    point_just_above_cut,
-    point_just_below_cut,
-    segment_above_cut,
-    segment_below_cut,
+    oracle_split,
 )
 
 
@@ -181,11 +178,11 @@ _OFFSET_POOL = [V("s"), *(V(tag, i) for tag in "ab" for i in range(-3, 4))]
 
 
 @st.composite
-def stride_template_st(draw):
-    """A periodic template with a nonzero stride, static and mobile residue
-    vertices, and a constant that may hold mobile vertices."""
+def stride_template_st(draw, strides=(-3, -2, -1, 1, 2, 3)):
+    """A periodic template with a stride drawn from strides, static and
+    mobile residue vertices, and a constant that may hold mobile vertices."""
     p = draw(st.integers(1, 3))
-    stride = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    stride = draw(st.sampled_from(strides))
     residues = tuple(frozenset(draw(st.lists(st.sampled_from(_OFFSET_POOL),
                                              max_size=4)))
                      for _ in range(p))
@@ -203,6 +200,15 @@ def test_offsets_of_matches_a_scan_of_blocks(t, tag, index):
     scan = tuple(o for o in range(-13 * p, 14 * p)
                  if v in shift_set(t.residues[o % p], t.stride * (o // p)))
     assert t.offsets_of(v) == scan
+
+
+@settings(max_examples=300, deadline=None)
+@given(stride_template_st(strides=range(-3, 4)))
+def test_split_formula_matches_the_meet_of_two_bags(t):
+    # constant indices reach 9 and shifted residues pass them within 12
+    # blocks, so collisions of the constant with the residues lie in range
+    for i in range(-30, 31):
+        assert t.split(i) == t.bag(i) & t.bag(i + 1)
 
 
 def test_width_generic_blocks():
@@ -505,26 +511,16 @@ def test_apex_junction_split():
     assert boundary_split(d, c) == bag_of(("u", 0))
 
 
-def oracle_split(d, c):
-    """The split at one cut from the two points around it, read off the
-    cut's own spelling."""
-    below = point_just_below_cut(d.line, c)
-    above = point_just_above_cut(d.line, c)
-    down = (bag_at(d, below) if below is not None
-            else full_vertices(d, segment_below_cut(c)))
-    up = (bag_at(d, above) if above is not None
-          else full_vertices(d, segment_above_cut(d.line, c)))
-    return down & up
-
-
 @st.composite
 def cut_lists(draw):
-    """A decomposition, periodic or on several finite segments, and cuts of
-    it with every BEFORE_SEGMENT spelling: in line order, reversed,
-    shuffled, or drawn with repeats."""
-    if draw(st.booleans()):
+    """A decomposition, periodic, on several finite segments, or of
+    templates whose constants collide with the shifted residues, and cuts
+    of it with every segment end, limit cut and BEFORE_SEGMENT spelling: in
+    line order, reversed, shuffled, or drawn with repeats."""
+    source = draw(st.sampled_from(["finite", "random", "colliding"]))
+    if source == "finite":
         d, _ = draw(finite_segments())
-    else:
+    elif source == "random":
         rng = random.Random(draw(st.integers(0, 2**32)))
         while True:
             try:
@@ -532,8 +528,15 @@ def cut_lists(draw):
                 break
             except ValueError:
                 continue
+    else:
+        kinds = draw(st.lists(st.sampled_from([omega(), omega_star(), zeta()]),
+                              min_size=1, max_size=2))
+        temps = draw(st.lists(stride_template_st(strides=range(-3, 4)).filter(
+            lambda t: all(r | t.constant for r in t.residues)),
+            min_size=len(kinds), max_size=len(kinds)))
+        d = Decomposition(Line(tuple(kinds)), tuple(temps))
     line = d.line
-    cuts = enumerate_cuts(line, 3) + [
+    cuts = enumerate_cuts(line, draw(st.integers(3, 30))) + [
         Cut(j, CutPosition.BEFORE_SEGMENT) for j, seg in enumerate(line.segments)
         if j > 0 and seg.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA)]
     cuts.sort(key=lambda c: cut_key(line, c))

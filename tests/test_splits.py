@@ -1,5 +1,6 @@
 """Split machinery against brute-force enumeration and hand-worked cases."""
 
+import dataclasses
 import itertools
 import random
 
@@ -35,8 +36,10 @@ from linedecomp.decomposition import (
     verify,
 )
 from linedecomp.oracle import brute_splits, random_decomposition, witness_family
+from linedecomp.prime import splits_all_distinct
 from linedecomp.splits import (
     Split,
+    SplitAnalysis,
     SplitFamily,
     analyze_splits,
     before,
@@ -47,7 +50,12 @@ from linedecomp.splits import (
     _classify_deep,
 )
 
-from conftest import CountingBags, CountingPeriodicBags
+from conftest import (
+    CountingBags,
+    CountingPeriodicBags,
+    _random_periodic,
+    window_meetings_by_scan,
+)
 
 AO = CutPosition.AFTER_OFFSET
 
@@ -457,17 +465,29 @@ def test_deep_guard_refuses_exactly_the_broken_classes():
 # Bag builds: one sweep shares each point between neighbouring cuts
 
 
+def counting(d):
+    """d with every periodic template replaced by one that logs its bags."""
+    return Decomposition(d.line, tuple(
+        CountingPeriodicBags(t.period, t.residues, t.stride, t.constant)
+        if isinstance(t, PeriodicBags) else t for t in d.templates), d.z1, d.z2)
+
+
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_analyze_splits_builds_each_window_bag_once(k):
-    band = witness_family(k).templates[0]
-    t = CountingPeriodicBags(band.period, band.residues, band.stride, band.constant)
-    d = Decomposition(Line.of(zeta()), (t,))
+    d = counting(witness_family(k))
     sa = analyze_splits(d)
     assert sa.window_splits == analyze_splits(witness_family(k)).window_splits
-    families = len(sa.low) + len(sa.high)
-    # the window's run of cuts builds one bag more than it has cuts, and
-    # each family the two bags at its edge cut
-    assert len(t.built) <= len(sa.window_cuts) + len(d.line.segments) + 2 * families
+    # one zeta segment has no segment end and no limit cut: every window
+    # cut and every family edge takes the split formula
+    assert d.templates[0].built == []
+
+
+def test_analyze_splits_builds_bags_only_at_segment_ends(random_corpus):
+    for d in map(counting, random_corpus):
+        analyze_splits(d)
+        for seg, t in zip(d.line.segments, d.templates):
+            if isinstance(t, PeriodicBags):
+                assert set(t.built) <= {seg.min_offset, seg.max_offset}
 
 
 def test_repeated_splits_reads_each_bag_once():
@@ -477,3 +497,102 @@ def test_repeated_splits_reads_each_bag_once():
     bags.reads = 0
     repeated_splits(d)
     assert bags.reads == len(bags)
+
+
+# ---------------------------------------------------------------------------
+# Window meetings: one index probe per family against the pair scan
+
+
+def _meeting_corpus(random_corpus):
+    """The benchmark shapes, witness bands and 600 draws of seed 18."""
+    rng = random.Random(18)
+    draws = []
+    for _ in range(600):
+        try:
+            draws.append(_random_periodic(rng))
+        except ValueError:
+            continue
+    return [witness_family(k) for k in (1, 2, 3)] + random_corpus + draws
+
+
+def _families(sa):
+    """The end families and every interior family classified before a
+    reach refuses."""
+    out = list(sa.low or ()) + list(sa.high or ())
+    try:
+        for f in sa.interior_classes():
+            out.append(f)
+    except UnsupportedScopeError:
+        pass
+    return out
+
+
+def test_window_meetings_match_the_pair_scan(random_corpus):
+    met = 0
+    for d in _meeting_corpus(random_corpus):
+        try:
+            sa = analyze_splits(d)
+        except UnsupportedScopeError:
+            continue
+        families = [f for f in _families(sa) if f.mobile]
+        found = set(sa.window_meetings(families))
+        assert found == set(window_meetings_by_scan(sa, families))
+        met += len(found)
+    assert met > 500
+
+
+def _decided(fn, d):
+    try:
+        out = fn(d)
+    except ValueError as e:
+        return type(e), str(e)
+    if isinstance(out, bool):
+        return out
+    return (out.m, out.lo, out.hi, out.note, out.window, out.low_tail, out.high_tail)
+
+
+def test_min_splits_and_distinctness_decide_as_the_pair_scan(random_corpus, monkeypatch):
+    corpus = _meeting_corpus(random_corpus)
+    tidy_valid = [d for d in corpus if verify(d).ok and tidy(d) == d]
+    assert len(tidy_valid) > 100
+
+    def decide():
+        return ([_decided(enumerate_min_splits, d) for d in corpus],
+                [_decided(splits_all_distinct, d) for d in tidy_valid])
+
+    by_index = decide()
+    monkeypatch.setattr(SplitAnalysis, "window_meetings", window_meetings_by_scan)
+    assert decide() == by_index
+    assert True in by_index[1] and False in by_index[1]
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize("b, refused", [(0, True), (3, True), (-1, False), (-4, False)])
+def test_a_marching_family_repeating_a_window_split_is_refused(side, b, refused):
+    # a band's families march past the window edge, so a window split a
+    # family reaches at block b < 0 lies behind it; the hand-built window
+    # puts the family's split at block b first
+    sa = analyze_splits(witness_family(2))
+    f = getattr(sa, side)[0]
+    hand = dataclasses.replace(sa, window_splits=(f.at(b),) + sa.window_splits[1:])
+    meetings = set(hand.window_meetings([f]))
+    assert meetings == set(window_meetings_by_scan(hand, [f]))
+    assert bool(meetings) == refused
+    if refused:
+        assert meetings == {(f, b, sa.window_cuts[0])}
+        with pytest.raises(UnsupportedScopeError, match="repeat a window split"):
+            hand.min_splits()
+    else:
+        assert hand.min_splits().m == 2
+
+
+def test_a_split_between_the_blocks_of_a_family_is_no_repeat():
+    # with stride 2 a family's splits are {v_i} for i of one parity only, so
+    # the split one index past its block 1 is not among them
+    t = PeriodicBags(1, (bag_of(("v", 0), ("v", 1), ("v", 2)),), 2)
+    sa = analyze_splits(Decomposition(Line.of(zeta()), (t,)))
+    f = sa.high[0]
+    between = shift_set(f.at(1), 1)
+    hand = dataclasses.replace(sa, window_splits=(between,) + sa.window_splits[1:])
+    assert set(hand.window_meetings([f])) == set(window_meetings_by_scan(hand, [f])) == set()
+    assert hand.min_splits().m == 1
