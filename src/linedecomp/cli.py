@@ -383,7 +383,7 @@ def _load(args) -> Decomposition:
     return parse_document(_read_text(args.file))
 
 
-def _print_violation(rep) -> None:
+def _report_violation(rep) -> int:
     if not rep.betweenness_ok:
         v, r, s, t = rep.counterexample
         print(
@@ -395,22 +395,19 @@ def _print_violation(rep) -> None:
         print(f"boundary violated: designated vertex {vertex_text(v)} is not a limit vertex")
     else:
         print("coverage violated")
+    return 1
 
 
 def _cmd_check(args) -> int:
     d = _load(args)
     rep = verify(d)
     if not rep.ok:
-        _print_violation(rep)
-        return 1
+        return _report_violation(rep)
     parts = [f"width {rep.width}"]
     if tidy(d) == d:
         parts.append("tidy")
-        try:
-            if splits_all_distinct(d):
-                parts.append("prime")
-        except UnsupportedScopeError:
-            pass
+        if splits_all_distinct(d):
+            parts.append("prime")
     if is_well_order(d.line):
         parts.append("well-order")
     print(", ".join(parts))
@@ -429,6 +426,9 @@ def _cmd_to_wo(args) -> int:
 
 def _cmd_splits(args) -> int:
     d = _load(args)
+    rep = verify(d)
+    if not rep.ok:
+        return _report_violation(rep)
     budget = args.budget if args.budget is not None else split_budget(d)
     cuts = enumerate_cuts(d.line, budget)
     lines = [f"{_cut_text(c)}: {_bag_text(s)}"

@@ -40,7 +40,6 @@ from linedecomp.decomposition import (
     Side,
     boundary_split,
     boundary_splits,
-    limit_vertices,
     shift_set,
 )
 
@@ -103,6 +102,10 @@ def _template_reach(t: PeriodicBags) -> int:
 
 
 def split_budget(d: Decomposition) -> int:
+    """The offset radius of the split window.  L1 (sizing): for a mobile
+    vertex c of a segment constant, each o in offsets_of(c) (c also in a
+    shifted residue: a collision) has |o| + p < _template_reach < budget,
+    so block 0 of every class (_classify_deep) lies beyond every collision."""
     span = sum(s.length for s in d.line.segments if s.kind is SegmentKind.FIN)
     per = 1
     reach = 0
@@ -227,34 +230,24 @@ def _classify_deep(d: Decomposition, j: int, direction: int,
     Past the window the split at offset b * period + r is
     shift(base_r, stride * b) | C by the split formula (PeriodicBags.split),
     C the segment constant.  So a class's split at block b is
-    C | shift(Y, step * b) for its split Y at the edge cut.  Its fixed part
-    is the statics and C; with a nonzero stride every other vertex moves
-    one step per block, however many consecutive cuts it sits in, and with
-    a zero stride nothing moves.
+    C | shift(Y, step * b) for its split Y at the edge cut, and the shifted
+    mobile part meets the fixed one only at a collision: none lies beyond
+    the edge (L1, split_budget).
 
-    The guard: the family formula and its invariant (the shifted mobile part
-    never lands on a fixed vertex) hold from block 0 on exactly when no
-    mobile vertex c of C lies in the class's shifted base at any block on
-    the deep side, that is, when no offsets o and o + 1 both in
-    t.offsets_of(c) have o in the class at or beyond the edge.  If one such
-    c does, either its preimage at the edge lies outside C, and the shifted
-    mobile part lands on c, or it lies in C too, and the formula loses the
-    first vertex of that orbit beyond C.  split_budget places block 0 past
-    every such coincidence (_template_reach), so a refusal means the sizing
-    missed one; the class cannot be numbered by an integer interval, so it
-    is refused as out of scope rather than mis-indexed.
+    L2 (statics): in a verifying decomposition a static vertex of residue r
+    is in the bags at r and r + period, so by betweenness in every bag of
+    the segment; with a zero stride so is every residue vertex.  So a split
+    in the segment is S | C | M: S | C = full_vertices(d, j), the limit set
+    at an open end, and M the moving vertices, outside it.  A constant
+    family is S | C, which holds the split at a limit cut bounding the
+    segment; a marching one is strictly larger.
     """
     t = d.templates[j]
     p = t.period
     step = t.stride * direction
-    hits = [o for c in t.constant if c.is_mobile and t.stride
-            for offs in [t.offsets_of(c)] for o in offs if o + 1 in offs]
     out = []
     for a in range(p):
         off = base + direction * a
-        if any((o - off) % p == 0 and (o - off) * direction >= 0 for o in hits):
-            raise UnsupportedScopeError(
-                f"splits do not stabilize beyond the window in segment {j}")
         s = t.split(off)
         mobile = frozenset(v for v in s - t.constant if v.is_mobile and t.stride)
         out.append(SplitFamily(j, direction, off, p, step, s - mobile, mobile))
@@ -281,7 +274,7 @@ class MinSplitIndexing:
     note: str = ""
 
     def in_range(self, i: int) -> bool:
-        if self.m is None:
+        if not self.m:  # no cuts, or disconnected: nothing is numbered
             return False
         if self.lo is not None and i < self.lo:
             return False
@@ -310,8 +303,8 @@ class SplitBounds:
     """Extremes of the witness family of a minimum split.
 
     Each bound is a Cut unless the witnesses run off that end of the line
-    forever, in which case the split provably equals the full set of limit
-    vertices on that side and the bound is the Side marker.
+    forever, in a constant family, in which case the split is the limit set
+    on that side (L2 of _classify_deep) and the bound is the Side marker.
     """
 
     lower: Union[Cut, Side]
@@ -330,10 +323,9 @@ class SplitAnalysis:
 
     low and high hold the families of the reaches running off the ends of
     the line, one per alignment class in offset order from the window edge.
-    The families of the interior infinite reaches are not part of it.  Each
-    method that needs them classifies them as it goes, so a reach that is
-    out of scope is refused by the question that looks at it, not by the
-    construction.  m is the minimum split size, None when there are no cuts.
+    The families of the interior infinite reaches are not part of it:
+    interior_classes classifies them for the questions that need them.
+    m is the minimum split size, None when there are no cuts.
     """
 
     d: Decomposition
@@ -380,54 +372,34 @@ class SplitAnalysis:
             else:
                 entries.append((s, [c]))
         window = tuple(Split(s, tuple(cs)) for s, cs in entries)
-        catalogue = {s for s, _ in entries}
-
-        self._interior_deep_guard(catalogue)
-        low_tail = self._edge_tail(self.low, catalogue) if self.low else None
-        high_tail = self._edge_tail(self.high, catalogue) if self.high else None
+        low_tail = self._edge_tail(self.low) if self.low else None
+        high_tail = self._edge_tail(self.high) if self.high else None
 
         lo = None if low_tail else 0
         hi = None if high_tail else len(window) - 1
         return MinSplitIndexing(m, lo, hi, window, low_tail, high_tail)
 
-    def _interior_deep_guard(self, catalogue: set[Bag]) -> None:
-        """Interior infinite reaches may only repeat window splits at size m."""
-        for f in self.interior_classes():
-            if f.size != self.m:
-                continue
-            if f.mobile:
-                raise UnsupportedScopeError(
-                    "minimum splits march in an interior segment; "
-                    "their order cannot be numbered by integers")
-            if f.fixed not in catalogue:
-                raise UnsupportedScopeError(
-                    "an interior constant split family does not match "
-                    "any window split")
+    def _edge_tail(self, side: tuple[SplitFamily, ...]
+                   ) -> Optional[tuple[SplitFamily, ...]]:
+        """The marching families of minimum splits at one end, or None.
 
-    def _edge_tail(self, side: tuple[SplitFamily, ...],
-                   catalogue: set[Bag]) -> Optional[tuple[SplitFamily, ...]]:
-        m = self.m
-        marching = tuple(f for f in side if f.mobile and f.size == m)
-        constant = [f for f in side if not f.mobile and f.size == m]
-        if marching and constant:
-            raise UnsupportedScopeError(
-                "a constant and a marching family of minimum splits share one "
-                "end of the line; they are not comparable")
-        for c in constant:
-            if c.fixed not in catalogue:
-                raise UnsupportedScopeError(
-                    "a constant split family at the line end does not match any "
-                    "window split")
+        Nothing else beyond the window needs a number.  An interior reach
+        has no marching minimum split: the limit cut bounding it is a window
+        cut with a smaller split (L2, _classify_deep).  A constant family is
+        its split at every cut of its class, so at a window cut too (interior
+        block 0, or one period in from an end's block 0), and by L2 never
+        shares an end with a marching minimum family.  A window cut with
+        split f.at(b) lies in f's segment within |offsets_of| < budget bags
+        of f.cut(b), so beyond every collision (L1); its translates outward
+        are f.at(b + 1), ... up to block 0 of a marching class: another
+        class, a common split refused below, or f's own, a repeat of f.
+        """
+        marching = tuple(f for f in side if f.mobile and f.size == self.m)
         if not marching:
             return None
         if any(a.collides(b) for a, b in itertools.combinations(marching, 2)):
             raise UnsupportedScopeError(
                 "two marching witness families generate a common split; "
-                "the numbering would list one entry twice")
-        # block 0 lies past the window here, so any meeting is a repeat
-        if any(self.window_meetings(marching)):
-            raise UnsupportedScopeError(
-                "marching witness families repeat a window split; "
                 "the numbering would list one entry twice")
         return marching
 
@@ -500,9 +472,9 @@ class SplitAnalysis:
             blk, r = divmod(edge.direction * (wit.offset - edge.offset), len(side))
             if blk < 0 or not side[r].mobile:
                 continue  # in the window, or merges with its witnesses below
-            # a marching tail member: min_splits refuses a family that meets
-            # a window split or another family, and one family never repeats
-            # a split, so its cut at this block is its only witness
+            # a marching tail member: it meets no window split (_edge_tail),
+            # min_splits refuses one that meets another family, and one
+            # family never repeats a split, so this cut is its only witness
             if side[r].at(blk) != s.vertices:
                 raise ValueError("the given cut does not witness this split")
             return SplitBounds(wit, wit)
@@ -514,27 +486,16 @@ class SplitAnalysis:
 
         lower: Union[Cut, Side] = ws[0]
         upper: Union[Cut, Side] = ws[-1]
-        if self.low is not None:
-            if any(not f.mobile and f.fixed == s.vertices for f in self.low):
-                if s.vertices != limit_vertices(d, Side.LEFT):
-                    raise UnsupportedScopeError(
-                        "witnesses descend forever but the split is not the "
-                        "left-limit set; the input cannot be a valid tidy "
-                        "decomposition")
-                lower = Side.LEFT
-        if self.high is not None:
-            if any(not f.mobile and f.fixed == s.vertices for f in self.high):
-                if s.vertices != limit_vertices(d, Side.RIGHT):
-                    raise UnsupportedScopeError(
-                        "witnesses ascend forever but the split is not the "
-                        "right-limit set; the input cannot be a valid tidy "
-                        "decomposition")
-                upper = Side.RIGHT
+        if any(not f.mobile and f.fixed == s.vertices for f in self.low or ()):
+            lower = Side.LEFT
+        if any(not f.mobile and f.fixed == s.vertices for f in self.high or ()):
+            upper = Side.RIGHT
         return SplitBounds(lower, upper)
 
 
 def analyze_splits(d: Decomposition) -> SplitAnalysis:
-    """Evaluate the split window of d and classify both line ends."""
+    """Evaluate the split window of d and classify both line ends.
+    Precondition: d verifies."""
     line = d.line
     budget = split_budget(d)
     cuts = enumerate_cuts(line, budget)
@@ -563,15 +524,19 @@ def analyze_splits(d: Decomposition) -> SplitAnalysis:
 
 
 def enumerate_min_splits(d: Decomposition) -> MinSplitIndexing:
+    """The minimum splits of d, numbered.  Precondition: d verifies."""
     return analyze_splits(d).min_splits()
 
 
 def empty_split_cuts(d: Decomposition) -> list[Cut]:
-    """The cuts with empty split; see SplitAnalysis.empty_cuts."""
+    """The cuts with empty split; see SplitAnalysis.empty_cuts.
+    Precondition: d verifies."""
     return analyze_splits(d).empty_cuts()
 
 
 def split_bounds(d: Decomposition, s: Split) -> SplitBounds:
+    """The extreme witnesses of the minimum split s of d.  Precondition: d
+    verifies."""
     return analyze_splits(d).bounds(s)
 
 

@@ -146,10 +146,10 @@ def to_wo(d: Decomposition) -> Decomposition:
     the designated limit sets, and has width at most 2k - |z1| where k is
     the input width.  An already well-ordered input is returned itself.
     Raises ValueError when the input does not verify, and
-    UnsupportedScopeError when a rebuilt piece has no presentation in this
-    form or when more left-limit vertices are designated than the minimum
-    split size: this rebuild does not handle that case, although a rebuild
-    may exist.
+    UnsupportedScopeError where the split analysis refuses (README, Scope)
+    or when more left-limit vertices are designated than the minimum split
+    size: this rebuild does not handle that case, although a rebuild may
+    exist.
     """
     _verified(d)
     if is_well_order(d.line):
@@ -183,11 +183,9 @@ def _rebuild_any(d: Decomposition) -> Decomposition:
 
 
 def _plan(a: SplitAnalysis) -> list[_Piece]:
-    """The pieces of the rebuild of a.d, in line order."""
+    """The pieces of the rebuild of a.d, in line order.  a.d has a cut:
+    only a one-point line has none, and that is a well-order."""
     idx = a.min_splits()
-    if idx.m is None:
-        raise UnsupportedScopeError("a line without cuts that is not a "
-                                    "well-order has no rebuild here")
     if len(a.d.z1) > idx.m:
         raise UnsupportedScopeError(
             f"{len(a.d.z1)} left-limit vertices are designated but some "
@@ -216,12 +214,6 @@ def _single_bag(s: Bag) -> Decomposition:
     return Decomposition(Line((fin(1),)), (ExplicitBags((s,)),), s, s)
 
 
-def _require_cut(x, what: str) -> Cut:
-    if isinstance(x, Cut):
-        return x
-    raise ValueError(f"witnesses of {what} run off the line end unexpectedly")
-
-
 def _rebuild_slice(d: Decomposition, lo: Optional[Cut],
                    hi: Optional[Cut]) -> Decomposition:
     return _rebuild(slice_between(d, lo, hi))
@@ -241,18 +233,15 @@ def _around_split(d: Decomposition, s: Bag, b: SplitBounds) -> Decomposition:
     s sits in every bag there, so removing it narrows the slice by its size;
     adding it back to the rebuilt remainder gives a piece running from s to
     s.  A bound that is not a cut means the witnesses run off that end of
-    the line, in which case the slice absorbs everything below (above).
+    the line, in which case the slice absorbs everything below (above) and
+    s is the limit set there, which holds the designated vertices.
     """
     lower = b.lower if isinstance(b.lower, Cut) else None
     upper = b.upper if isinstance(b.upper, Cut) else None
     if lower is not None and upper is not None \
             and compare_cuts(d.line, lower, upper) is Ordering.EQ:
         return _single_bag(s)
-    sl = slice_between(d, lower, upper)
-    if upper is None and not d.z2 <= s:
-        raise ValueError("designated right-limit vertices escape the last "
-                         "minimum split; no rebuild keeps them rightmost")
-    core = remove_from_bags(sl, s)
+    core = remove_from_bags(slice_between(d, lower, upper), s)
     if core is None:
         return _single_bag(s)
     piece = add_to_bags(_rebuild(core), s)
@@ -265,22 +254,16 @@ def _split_off_lower_part(a: SplitAnalysis, idx: MinSplitIndexing) -> list[_Piec
 
     Reversal is what makes the lower part tractable: seen from the cut its
     minimum splits start at the chosen one, so the recursion proceeds by
-    assembly instead of arriving back here.
+    assembly instead of arriving back here.  The low tail's splits hold the
+    left-limit set, hence z1, and no constant low family has size m (L2 of
+    splits._classify_deep), so no lower bound is Side.LEFT.
     """
     d = a.d
-    candidates = [sp for sp in idx.window if d.z1 <= sp.vertices]
-    if idx.low_tail is not None:
-        for u in range(len(idx.low_tail)):
-            sp = idx.split(-1 - u)
-            if d.z1 <= sp.vertices:
-                candidates.append(sp)
-    if not candidates:
-        raise ValueError("no minimum split contains the designated "
-                         "left-limit set")
-
+    tail = [idx.split(-1 - u) for u in range(len(idx.low_tail))]
+    candidates = [sp for sp in [*idx.window, *tail] if d.z1 <= sp.vertices]
     ranked = []
     for sp in candidates:
-        c = _require_cut(a.bounds(sp).lower, "a candidate split")
+        c = a.bounds(sp).lower
         origin = abs(c.offset) if c.position is CutPosition.AFTER_OFFSET else 0
         ranked.append(((origin, cut_key(d.line, c), tuple(sorted(sp.vertices))),
                        c, sp.vertices))
@@ -302,16 +285,14 @@ def _reversed_lower_part(d: Decomposition, c0: Cut, s0: Bag) -> Decomposition:
 def _pieces_along(d: Decomposition,
                   marks: list[tuple[Bag, SplitBounds]]) -> list[_Piece]:
     """For each minimum split of marks but the last, in order: the piece
-    around it and the piece for the gap up to the next one."""
+    around it and the piece for the gap up to the next one.  A cut between
+    two witnesses of a minimum split has a split holding it, so one of size
+    m equals it: witness ranges do not interleave, and only the first (last)
+    runs off the lower (upper) end."""
     pieces: list[_Piece] = []
     for (s, b), (_, nb) in zip(marks, marks[1:]):
-        gap_lo = _require_cut(b.upper, "an earlier minimum split")
-        gap_hi = _require_cut(nb.lower, "a later minimum split")
-        if compare_cuts(d.line, gap_lo, gap_hi) is not Ordering.LT:
-            raise ValueError("witness ranges of successive minimum splits "
-                             "overlap")
         pieces += [partial(_around_split, d, s, b),
-                   partial(_rebuild_slice, d, gap_lo, gap_hi)]
+                   partial(_rebuild_slice, d, b.upper, nb.lower)]
     return pieces
 
 
@@ -325,9 +306,6 @@ def _assemble_along_splits(a: SplitAnalysis, idx: MinSplitIndexing) -> list[_Pie
     if isinstance(first_lower, Cut):
         # below the first witness all splits are strictly larger
         pieces.append(partial(_rebuild_slice, d, None, first_lower))
-    elif not d.z1 <= marks[0][0]:
-        raise ValueError("designated left-limit vertices escape the first "
-                         "minimum split; no rebuild keeps them leftmost")
 
     if idx.hi is not None:
         s, last = marks[-1]
@@ -346,18 +324,13 @@ def _replicated_tail(a: SplitAnalysis, idx: MinSplitIndexing,
 
     One block later every piece repeats shifted by the template stride, so
     rebuilding a single block and replicating it along a fresh omega segment
-    covers the whole tail.  The designated right-limit set must sit inside
-    every marching split or no well-ordered arrangement puts it at the top.
+    covers the whole tail.  Every marching split holds the right-limit set,
+    hence z2 (L2 of splits._classify_deep).
     """
     d = a.d
     tail = idx.high_tail
     wn = len(idx.window)
-    fixed_all = frozenset.intersection(*(f.fixed for f in tail))
-    if not d.z2 <= fixed_all:
-        raise ValueError("designated right-limit vertices escape the "
-                         "marching minimum splits")
-    count = len(tail)
-    marching = [idx.split(wn + u) for u in range(count + 1)]
+    marching = [idx.split(wn + u) for u in range(len(tail) + 1)]
     marks = marks + [(sp.vertices, a.bounds(sp)) for sp in marching]
     steps = _pieces_along(d, marks)
     return steps[:2 * wn] + [partial(_replicate, d, steps[2 * wn:], tail[0].segment,
@@ -367,21 +340,13 @@ def _replicated_tail(a: SplitAnalysis, idx: MinSplitIndexing,
 def _replicate(d: Decomposition, block: list[_Piece], segment: int, step: int,
                first: Bag) -> Decomposition:
     """Rebuild one block of the marching tail and lay it along an omega
-    segment.  The segment constant is what refuses to shift."""
+    segment.  The segment constant is what refuses to shift.  The pieces are
+    finite slices: each rebuilds as itself or as its split, which holds C."""
     invariant = frozenset(
         v for v in d.templates[segment].constant if v.is_mobile)
     bags: list[Bag] = []
     for rebuilt in [piece() for piece in block]:
-        for seg, t in zip(rebuilt.line.segments, rebuilt.templates):
-            if seg.kind is not SegmentKind.FIN:
-                raise UnsupportedScopeError(
-                    "a block of the marching tail did not rebuild to "
-                    "finitely many bags; it cannot be replicated")
-            for b in t.bags:
-                if not invariant <= b:
-                    raise UnsupportedScopeError(
-                        "a rebuilt tail bag misses part of the segment "
-                        "constant; the blocks are not translates")
-                bags.append(b - invariant)
+        for t in rebuilt.templates:
+            bags += [b - invariant for b in t.bags]
     template = PeriodicBags(len(bags), tuple(bags), step, invariant)
     return Decomposition(Line((omega(),)), (template,), first, d.z2)

@@ -34,7 +34,6 @@ from linedecomp.decomposition import (
 )
 from linedecomp.line import (
     Line,
-    UnsupportedScopeError,
     fin,
     omega,
     omega_star,
@@ -350,19 +349,6 @@ def test_check_verifies_and_tidies_once(tmp_path, capsys, monkeypatch):
     assert calls == {"verify": 1, "tidy": 1}
 
 
-def test_check_skips_prime_when_out_of_scope(tmp_path, capsys, monkeypatch):
-    # no tidy input is known that the split analysis refuses, so primality
-    # is refused by hand; check still reports everything it can decide
-    def refuse(d):
-        raise UnsupportedScopeError("splits do not stabilize")
-
-    monkeypatch.setattr(linedecomp.cli, "splits_all_distinct", refuse)
-    path = save(tmp_path, emit_document(witness_family(4)))
-    code, out, _ = run(capsys, "check", path)
-    assert code == 0
-    assert out == "width 4, tidy\n"
-
-
 def test_tidy_command_canonicalizes(tmp_path, capsys):
     d = explicit(bag_of("a"), bag_of("a", "b"), bag_of("b", "c"))
     path = save(tmp_path, emit_document(d))
@@ -386,6 +372,15 @@ def test_splits_star(tmp_path, capsys):
     code, out, _ = run(capsys, "splits", save(tmp_path, STAR_TEXT))
     assert code == 0
     assert out == "cut 0@0: c\ncut 0@1: c\nminimum split size 1, indexed 0..0\n"
+
+
+def test_splits_verifies_first(tmp_path, capsys):
+    # v:2 sits in the bags at offsets 0 and 2 but not at 1
+    d = Decomposition(Line.of(zeta()), (PeriodicBags(1, (bag_of(("v", 0), ("v", 2)),), 1),))
+    code, out, err = run(capsys, "splits", save(tmp_path, emit_document(d)))
+    assert code == 1
+    assert out.startswith("betweenness violated") and out.count("\n") == 1
+    assert err == ""
 
 
 def test_splits_budget_flag(tmp_path, capsys):
@@ -441,6 +436,48 @@ def test_pathwidth_reads_only_ascii_decimal_indices(tmp_path, capsys, text):
     assert code == 2
     assert "bad vertex index" in err and text.strip() in err
     assert "Traceback" not in err and out == ""
+
+
+_EDGE_LISTS = ["a b\nb c\nc d\n", "x:0 x:1\nx:1 x:2\ny\n", "p q\nq r\nr p\ns:3 p\n"]
+_ODD_TOKENS = ["a", "x:1", "x:\u0663", "\u0663", "x:1_0", "x:+3", "x:-2", "a:b:1",
+               "a:b", "x:", ":1", ":", "\u00e9:1", "x:1:"]
+
+
+@st.composite
+def mutated_edge_lists(draw):
+    """A valid edge list with one to three tokens dropped or added (odd
+    digits, colons), loops or blank lines added, and one time in five a
+    byte that is not UTF-8."""
+    lines = [line.split() for line in draw(st.sampled_from(_EDGE_LISTS)).splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        line = draw(st.sampled_from(lines))
+        how = draw(st.sampled_from(["drop", "add", "loop", "blank"]))
+        if how == "drop" and line:
+            del line[draw(st.integers(0, len(line) - 1))]
+        elif how == "add":
+            line.insert(draw(st.integers(0, len(line))), draw(st.sampled_from(_ODD_TOKENS)))
+        elif how == "loop":
+            lines.append([line[0], line[0]] if line else ["a", "a"])
+        elif how == "blank":
+            lines.insert(draw(st.integers(0, len(lines))), [])
+    data = "".join(" ".join(line) + "\n" for line in lines).encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_edge_lists())
+def test_mutated_edge_lists_fail_without_a_traceback(tmp_path_factory, data):
+    g = tmp_path_factory.getbasetemp() / "mutated-edges.txt"
+    g.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["pathwidth", str(g)])
+    assert code in (0, 1, 2), data
+    assert "Traceback" not in err.getvalue(), data
+    assert (code == 0) == out.getvalue().startswith("pathwidth "), data
 
 
 def test_pathwidth_rejects_bad_line(tmp_path, capsys):

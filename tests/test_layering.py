@@ -4,9 +4,12 @@ public name is defined by one module only, and each is either used within
 the package or exported by it.  Likewise every import is used or exported."""
 
 import ast
+import re
 from pathlib import Path
 
 import linedecomp
+
+from test_wo import SCOPE_REFUSALS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "linedecomp"
 
@@ -164,3 +167,26 @@ def _dead_local_assignments(path: Path) -> list[str]:
 def test_no_dead_local_assignments():
     bad = [hit for f in sorted(SRC.glob("*.py")) for hit in _dead_local_assignments(f)]
     assert not bad, "\n".join(bad)
+
+
+def _scope_refusals(path: Path) -> list[str]:
+    """The constant text of each `raise UnsupportedScopeError(...)`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "UnsupportedScopeError"):
+            out.append("".join(c.value for arg in node.exc.args for c in ast.walk(arg)
+                               if isinstance(c, ast.Constant) and isinstance(c.value, str)))
+    return out
+
+
+def test_every_scope_refusal_has_an_input():
+    """Each refusal of the split analysis and the rebuild is reached by one
+    entry of test_wo.SCOPE_REFUSALS, so one that no input reaches cannot
+    be added unnoticed."""
+    sites = [t for name in ("splits.py", "wo.py") for t in _scope_refusals(SRC / name)]
+    messages = [m for _, _, m in SCOPE_REFUSALS]
+    assert len(sites) == len(messages)
+    for m in messages:
+        assert sum(bool(re.search(m, t)) for t in sites) == 1, m

@@ -38,7 +38,13 @@ from linedecomp.decomposition import (
     width,
 )
 from linedecomp.oracle import materialize, random_decomposition, witness_family
-from linedecomp.splits import analyze_splits, enumerate_min_splits, split_at
+from linedecomp.splits import (
+    analyze_splits,
+    empty_split_cuts,
+    enumerate_min_splits,
+    repeated_splits,
+    split_at,
+)
 from linedecomp.prime import concat_components
 from linedecomp.wo import concat_wo, raw_concat, to_wo
 
@@ -381,14 +387,19 @@ def test_to_wo_chains_two_infinite_components():
     assert width(out) == 1
 
 
-def test_to_wo_rejects_more_designated_than_split():
-    # out of scope, not impossible: fin(2).omega with bags {p,q,y}, {p,q,x},
-    # then {p,q,a_(-1-i)} rebuilds it at width 2 = 2k - |z1|
-    d = Decomposition(
+def over_designated():
+    """Two designated left-limit vertices where the minimum split has one.
+    Out of scope, not impossible: fin(2).omega with bags {p,q,y}, {p,q,x},
+    then {p,q,a_(-1-i)} rebuilds it at width 2 = 2k - |z1|."""
+    return Decomposition(
         Line.of(omega_star(), fin(2)),
         (PeriodicBags(1, (bag_of(("a", 0)),), 1, bag_of("p", "q")),
          ExplicitBags((bag_of("p", "q", "x"), bag_of("p", "y")))),
         bag_of("p", "q"), frozenset())
+
+
+def test_to_wo_rejects_more_designated_than_split():
+    d = over_designated()
     assert verify(d).ok
     with pytest.raises(UnsupportedScopeError,
                        match="left-limit vertices are designated"):
@@ -408,6 +419,57 @@ def test_to_wo_rejects_zeta_apex_star():
     d = band(zeta(), tag="a", size=0, constant={V("c")})
     with pytest.raises(UnsupportedScopeError):
         to_wo(d)
+
+
+# ---------------------------------------------------------------------------
+# Every scope refusal of the split analysis and the rebuild, one input each
+
+
+def common_split():
+    """Two marching classes of omega* whose splits {v_i} coincide."""
+    return Decomposition(Line.of(omega_star()), (PeriodicBags(
+        2, (bag_of(("v", 1)), bag_of(("v", -1), ("v", 0), ("v", 1))), -2),))
+
+
+def interior_empty_splits():
+    return Decomposition(Line.of(omega(), fin(1)), (
+        PeriodicBags(1, (bag_of(("v", 0)),), 1), ExplicitBags((bag_of("x"),))))
+
+
+# one entry per `raise UnsupportedScopeError` in splits.py and wo.py
+SCOPE_REFUSALS = [
+    (enumerate_min_splits, common_split, "two marching witness families generate a common split"),
+    (empty_split_cuts, lambda: band(zeta(), size=0), "empty splits repeat forever toward an end"),
+    (empty_split_cuts, interior_empty_splits, "empty splits repeat forever inside the line"),
+    (repeated_splits, lambda: band(omega()), "repeated splits are only computed on finite lines"),
+    (to_wo, over_designated, "left-limit vertices are designated but some split has only"),
+]
+
+
+@pytest.mark.parametrize("fn, make, message", SCOPE_REFUSALS,
+                         ids=[m for _, _, m in SCOPE_REFUSALS])
+def test_every_scope_refusal_is_reached(fn, make, message):
+    d = make()
+    assert verify(d).ok
+    with pytest.raises(UnsupportedScopeError, match=message):
+        fn(d)
+
+
+def test_to_wo_rebuilds_the_common_split_input():
+    # tidy drops the nested bag, and with it the second marching class
+    d = common_split()
+    out = to_wo(d)
+    assert verify(out).ok and is_well_order(out.line)
+    assert width(out) <= 2 * width(d)
+
+
+def test_a_disconnected_indexing_numbers_nothing():
+    idx = enumerate_min_splits(band(zeta(), size=0))
+    assert (idx.m, idx.note) == (0, "disconnected")
+    for i in range(-3, 4):
+        assert not idx.in_range(i)
+        with pytest.raises(IndexError):
+            idx.split(i)
 
 
 # ---------------------------------------------------------------------------
