@@ -19,7 +19,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from linedecomp.line import (
@@ -232,7 +232,6 @@ def width(d: Decomposition) -> int:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    coverage_ok: bool
     betweenness_ok: bool
     boundary_ok: bool
     width: int
@@ -240,7 +239,7 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return self.coverage_ok and self.betweenness_ok and self.boundary_ok
+        return self.betweenness_ok and self.boundary_ok
 
 
 def _block_range(kind: SegmentKind) -> tuple[Optional[int], Optional[int]]:
@@ -578,16 +577,16 @@ def verify(d: Decomposition) -> VerificationReport:
     w = width(d)
     bad = _betweenness_counterexample(d)
     if bad is not None:
-        return VerificationReport(True, False, True, w, bad)
+        return VerificationReport(False, True, w, bad)
     left = limit_vertices(d, Side.LEFT)
     right = limit_vertices(d, Side.RIGHT)
     if not d.z1 <= left:
         v = min(d.z1 - left)
-        return VerificationReport(True, True, False, w, (v,))
+        return VerificationReport(True, False, w, (v,))
     if not d.z2 <= right:
         v = min(d.z2 - right)
-        return VerificationReport(True, True, False, w, (v,))
-    return VerificationReport(True, True, True, w)
+        return VerificationReport(True, False, w, (v,))
+    return VerificationReport(True, True, w)
 
 
 # ---------------------------------------------------------------------------
@@ -772,48 +771,51 @@ def slice_between(d: Decomposition, lo: Optional[Cut], hi: Optional[Cut]) -> Dec
 # Tidying
 
 
-def _fold_zero_stride(d: Decomposition) -> tuple[Decomposition, bool]:
-    changed = False
-    temps = []
-    for t in d.templates:
-        if isinstance(t, PeriodicBags) and t.stride == 0 and t.constant:
-            temps.append(PeriodicBags(t.period,
-                                      tuple(r | t.constant for r in t.residues), 0))
-            changed = True
-        else:
-            temps.append(t)
-    if not changed:
-        return d, False
-    return replace(d, templates=tuple(temps)), True
+def _nesting(t: PeriodicBags) -> tuple[list[bool], list[bool]]:
+    """Per residue r: up[r] says bag r lies inside bag r + 1, down[r] that
+    it lies inside bag r - 1, on blocks away from collisions.
+
+    N1.  Take a block where no shifted residue vertex is a mobile constant
+    vertex.  There a shift is one-to-one and meets the constant only in its
+    static part, so bag r lies inside bag r + 1 exactly when residue r lies
+    inside residue r + 1 (residue 0 shifted by one stride, past the last)
+    joined with the static constant; likewise toward r - 1.  On a zero
+    stride every block can meet the mobile constant, so its constant must
+    be folded into the residues first (_canonical).  All bags are equal
+    exactly when every residue nests both ways: a nonempty mobile part on a
+    nonzero stride never does, since the shift moves its least index.
+    """
+    res = t.residues
+    static = frozenset(v for v in t.constant if v.is_static)
+    after = res[1:] + (shift_set(res[0], t.stride),)
+    before = (shift_set(res[-1], -t.stride),) + res[:-1]
+    return ([r <= a | static for r, a in zip(res, after)],
+            [r <= b | static for r, b in zip(res, before)])
 
 
-def _is_constant_template(t: PeriodicBags) -> bool:
-    if any(v.is_mobile for r in t.residues for v in r) and t.stride != 0:
-        return False
-    first = t.residues[0] | t.constant
-    return all((r | t.constant) == first for r in t.residues)
-
-
-def _collapse_constants(d: Decomposition) -> tuple[Decomposition, bool]:
+def _canonical(d: Decomposition) -> tuple[Decomposition, bool]:
+    """Fold a zero stride's constant into its residues, then collapse each
+    periodic template whose bags are all equal (N1) to one explicit bag."""
     changed = False
     segs, temps = [], []
     for seg, t in zip(d.line.segments, d.templates):
-        if isinstance(t, PeriodicBags) and _is_constant_template(t):
-            segs.append(fin(1))
-            temps.append(ExplicitBags((t.residues[0] | t.constant,)))
-            changed = True
-        else:
-            segs.append(seg)
-            temps.append(t)
+        if isinstance(t, PeriodicBags):
+            if t.stride == 0 and t.constant:
+                t = PeriodicBags(t.period, tuple(r | t.constant for r in t.residues), 0)
+                changed = True
+            if all(map(all, _nesting(t))):
+                seg, t = fin(1), ExplicitBags((t.residues[0] | t.constant,))
+                changed = True
+        segs.append(seg)
+        temps.append(t)
     if not changed:
         return d, False
-    return Decomposition(Line(tuple(segs)), tuple(temps), d.z1, d.z2), changed
+    return Decomposition(Line(tuple(segs)), tuple(temps), d.z1, d.z2), True
 
 
 @dataclass
 class _Zone:
     seg_index: int
-    kind: SegmentKind
     template: BagTemplate
     hull_lo: int              # first explicit offset (explicit segments: 0)
     hull_bags: list[Bag]
@@ -824,10 +826,16 @@ class _Zone:
 
 
 def _zone_for_segment(d: Decomposition, j: int) -> _Zone:
+    """Segment j's hull: every bag of a finite segment; on a periodic one,
+    whole blocks reaching at least two blocks past every collision block
+    (the specials b - 1..b + 1 of each collision block b, then one more).
+    So the bags just outside a hull, and every bag beyond them, lie on
+    blocks where _nesting's residue test holds (N1), and _decide_drops
+    needs only one template bag past each hull edge (N2)."""
     seg = d.line.segments[j]
     t = d.templates[j]
     if isinstance(t, ExplicitBags):
-        return _Zone(j, seg.kind, t, 0, list(t.bags))
+        return _Zone(j, t, 0, list(t.bags))
     p = t.period
     specials: set[int] = set()
     if t.stride != 0:
@@ -848,87 +856,77 @@ def _zone_for_segment(d: Decomposition, j: int) -> _Zone:
     hull_lo = blk_lo * p
     hull_hi = (blk_hi + 1) * p - 1
     bags = [t.bag(i) for i in range(hull_lo, hull_hi + 1)]
-    return _Zone(j, seg.kind, t, hull_lo, bags,
+    return _Zone(j, t, hull_lo, bags,
                  tail_down=seg.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA),
                  tail_up=seg.kind in (SegmentKind.OMEGA, SegmentKind.ZETA))
 
 
-def _generic_keep_pattern(t: PeriodicBags, kind: SegmentKind, zone: _Zone) -> set[int]:
+def _tail_drops(t: PeriodicBags) -> tuple[list[bool], list[bool]]:
+    """Per residue r, far out on a tail: whether bag r lies inside the bag
+    before it, and whether it lies inside the first differing bag after its
+    run of equal bags.  Bags r and r + 1 are equal when up[r] and
+    down[r + 1] both hold (N1).
+
+    N2.  On a template that is not constant (_canonical collapsed those),
+    a run of equal bags away from collisions joins fewer than p neighbours:
+    p equal neighbours in a row cover every pair of residues r, r + 1, so
+    every residue would nest both ways.  So the walk below stops within
+    p - 1 steps, and the bag that ends a run is never the same residue a
+    period on.
+    """
+    up, down = _nesting(t)
     p = t.period
-    if kind is SegmentKind.OMEGA_STAR:
-        g = zone.hull_lo // p - 3
-    else:
-        g = zone.hull_lo // p + len(zone.hull_bags) // p + 3
-    bags = [t.bag(i) for i in range((g - 2) * p, (g + 3) * p)]
-    # offset g*p + r sits at index 2*p + r of bags
-    keep = {r for r in range(p) if not _drops(bags, 2 * p + r)}
-    assert keep, "a full period cannot strictly nest into itself"
-    return keep
-
-
-def _drops(bags: list[Bag], pos: int, below_full: Optional[Bag] = None,
-           above_full: Optional[Bag] = None) -> bool:
-    """Drop rule on a plain bag list: duplicate of its predecessor (the
-    run's first survives), or strictly inside the nearest differing bag on
-    either side.  A full set stands for the open segment beyond that end of
-    the list: a bag inside every bag of a segment that is not constant sits
-    strictly inside one of them."""
-    b = bags[pos]
-    if pos > 0 and bags[pos - 1] == b:
-        return True
-    for step, full in ((1, above_full), (-1, below_full)):
-        i = pos + step
-        while 0 <= i < len(bags) and bags[i] == b:
-            i += step
-        if 0 <= i < len(bags):
-            if b < bags[i]:
-                return True
-        elif full is not None and b <= full:
-            return True
-    return False
+    later = []
+    for r in range(p):
+        k = r
+        while up[k % p] and down[(k + 1) % p]:
+            k += 1
+        later.append(up[k % p])
+    return down, later
 
 
 def _decide_drops(d: Decomposition, zones: list[_Zone]) -> bool:
-    """Fill kept_hull / keep_pattern on every zone.  Returns True if anything
-    drops anywhere."""
+    """Fill kept_hull / keep_pattern on every zone by tidy's drop rule;
+    True if anything drops.  A hull bag is tested against the bag before
+    it: the previous hull bag, one template bag past its own tail's edge,
+    or the open segment's full set across a limit point.  "Inside a later
+    bag" is resolved from the right: a bag equal to the one after it takes
+    that one's flag.  A run reaching a hull's upper edge takes its tail's
+    residue-0 flag: N1 holds past the hull, and by N2 the run ends within
+    the tail's first period.  A full set ends a run with the flag set: a
+    bag inside every bag of a segment that is not constant sits strictly
+    inside one of them.
+    """
     any_drop = False
-    n = len(zones)
-    full_sets = [full_vertices(d, j) for j in range(n)]
-
-    def neighbors(zi: int, up: bool) -> tuple[list[Bag], Optional[Bag]]:
-        """Bags beyond zone zi's hull going up (down), nearest first, plus
-        the full set of an open junction if the walk ends at one.  Bounded
-        walk: enough bags to get past any equality run."""
-        step = 1 if up else -1
-        out: list[Bag] = []
-        k = zi
-        while 0 <= k < n:
-            z = zones[k]
-            if k != zi:
-                if z.tail_down if up else z.tail_up:
-                    return out, full_sets[z.seg_index]
-                out.extend(z.hull_bags[::step])
-            if z.tail_up if up else z.tail_down:
-                t = z.template
-                start = z.hull_lo + len(z.hull_bags) if up else z.hull_lo - 1
-                out.extend(t.bag(start + step * i) for i in range(3 * t.period + 3))
-                return out, None
-            k += step
-        return out, None
-
-    for zi, z in enumerate(zones):
-        above, above_full = neighbors(zi, True)
-        below, below_full = neighbors(zi, False)
-        window = below[::-1] + z.hull_bags + above
-        z.kept_hull = [pos for pos in range(len(z.hull_bags))
-                       if not _drops(window, len(below) + pos,
-                                     below_full, above_full)]
-        if len(z.kept_hull) < len(z.hull_bags):
-            any_drop = True
+    after: Optional[tuple[Bag, bool]] = None   # the bag right of here, its flag
+    for zi in range(len(zones) - 1, -1, -1):
+        z = zones[zi]
+        t = z.template
         if z.tail_up or z.tail_down:
-            z.keep_pattern = _generic_keep_pattern(z.template, z.kind, z)
-            if len(z.keep_pattern) < z.template.period:
-                any_drop = True
+            before_tail, later_tail = _tail_drops(t)
+            z.keep_pattern = {r for r in range(t.period)
+                              if not (before_tail[r] or later_tail[r])}
+            any_drop |= len(z.keep_pattern) < t.period
+        if z.tail_up:
+            after = (t.bag(z.hull_lo + len(z.hull_bags)), later_tail[0])
+        elif zi + 1 < len(zones) and zones[zi + 1].tail_down:
+            after = (full_vertices(d, zi + 1), True)
+        if z.tail_down:
+            before = t.bag(z.hull_lo - 1)
+        elif zi > 0 and zones[zi - 1].tail_up:
+            before = full_vertices(d, zi - 1)
+        else:
+            before = zones[zi - 1].hull_bags[-1] if zi > 0 else None
+        bags = z.hull_bags
+        later = [False] * len(bags)
+        for i in range(len(bags) - 1, -1, -1):
+            b = bags[i]
+            later[i] = after is not None and (after[1] if b == after[0] else b <= after[0])
+            after = (b, later[i])
+        prev = [before] + bags[:-1]
+        z.kept_hull = [i for i, b in enumerate(bags)
+                       if not (later[i] or (prev[i] is not None and b <= prev[i]))]
+        any_drop |= len(z.kept_hull) < len(bags)
     return any_drop
 
 
@@ -980,15 +978,18 @@ def _assemble(d: Decomposition, zones: list[_Zone]) -> Decomposition:
 def tidy(d: Decomposition) -> Decomposition:
     """Drop every bag that duplicates or nests inside another.
 
+    The rule, along the line: a bag drops when it lies inside the bag
+    before it, or inside the first differing bag after its run of equal
+    bags.  Across a limit point the open segment's full set stands for the
+    bag there.  A periodic segment whose bags are all equal is one bag.
+
     The output has pairwise distinct, non-nested bags (they are exactly the
     maximal cliques of the graph), the same clique-completion, and width at
     most the input's.  Returns the input object itself when it is already
     tidy in this structural sense.
     """
-    folded, ch1 = _fold_zero_stride(d)
-    collapsed, ch2 = _collapse_constants(folded)
-    zones = [_zone_for_segment(collapsed, j) for j in range(len(collapsed.line.segments))]
-    ch3 = _decide_drops(collapsed, zones)
-    if not (ch1 or ch2 or ch3):
+    canon, changed = _canonical(d)
+    zones = [_zone_for_segment(canon, j) for j in range(len(canon.line.segments))]
+    if not _decide_drops(canon, zones) and not changed:
         return d
-    return _assemble(collapsed, zones)
+    return _assemble(canon, zones)

@@ -320,6 +320,13 @@ class CountingPeriodicBags(PeriodicBags):
         return super().bag(i)
 
 
+def counting(d: Decomposition) -> Decomposition:
+    """d with every periodic template replaced by one that logs its bags."""
+    return Decomposition(d.line, tuple(
+        CountingPeriodicBags(t.period, t.residues, t.stride, t.constant)
+        if isinstance(t, PeriodicBags) else t for t in d.templates), d.z1, d.z2)
+
+
 # ---------------------------------------------------------------------------
 # Random corpora
 

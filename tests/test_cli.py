@@ -383,16 +383,6 @@ def test_splits_verifies_first(tmp_path, capsys):
     assert err == ""
 
 
-def test_splits_budget_flag(tmp_path, capsys):
-    path = save(tmp_path, emit_document(witness_family(1)))
-    code, out, _ = run(capsys, "splits", path, "--budget", "2")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[-1] == "minimum split size 1, indexed -oo..+oo"
-    assert all(line.startswith("cut 0@") for line in lines[:-1])
-    assert len(lines) - 1 <= 6
-
-
 def test_factor_command_round_trips(tmp_path, capsys):
     code, out, _ = run(capsys, "factor", save(tmp_path, STAR_TEXT))
     assert code == 0

@@ -58,7 +58,9 @@ from linedecomp.oracle import materialize, random_decomposition
 
 from conftest import (
     CountingBags,
+    CountingPeriodicBags,
     _random_periodic,
+    counting,
     oracle_split,
 )
 
@@ -689,6 +691,94 @@ def test_tidy_drops_a_nested_residue(seg, constant, kinds):
         _, large = materialize(b, 30)
         assert small.vertices <= large.vertices and small.edges <= large.edges
     assert tidy(td) is td
+
+
+def tight_runs():
+    """Omega and zeta, period p = 3..5, stride 1: residues {a:0} p - 2 times,
+    then {a:0, b:0}, then {a:1}, and each reversed.  Every run of {a} bags
+    is p - 1 long and ends inside {a, b}; at a hull's upper edge it reaches
+    p - 1 bags into the tail, so the tail's run decides the hull's last bag."""
+    for seg in (omega(), zeta()):
+        for p in range(3, 6):
+            res = (bag_of(("a", 0)),) * (p - 2) + (bag_of(("a", 0), ("b", 0)),
+                                                   bag_of(("a", 1)))
+            d = Decomposition(Line.of(seg), (PeriodicBags(p, res, 1),))
+            yield d
+            yield reverse_decomposition(d)
+
+
+@pytest.mark.parametrize("d", list(tight_runs()))
+def test_tidy_follows_a_run_across_the_hull_edge(d):
+    assert verify(d).ok
+    td = tidy(d)
+    # every {a} bag drops, so the segment keeps its shape on {a, b} alone
+    assert td.line.segments == d.line.segments
+    assert_window_tidy(window_bags(td, 12))
+
+
+def two_tag_draw(rng):
+    """1-3 segments on the mobile tags a and b: now and then a finite piece,
+    else period 1-4, stride +-1 or +-2, marching residues of either tag or both,
+    and mobile constants about three times in four."""
+    segs, temps = [], []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.2:
+            n = rng.randint(1, 3)
+            segs.append(fin(n))
+            temps.append(ExplicitBags(tuple(
+                frozenset(V(rng.choice("ab"), rng.randint(0, 2))
+                          for _ in range(rng.randint(1, 3)))
+                for _ in range(n))))
+            continue
+        p, stride = rng.randint(1, 4), rng.choice([-2, -1, 1, 1, 2])
+        size = rng.randint(1, 3)
+        starts = sorted(rng.randint(0, abs(stride)) for _ in range(p))
+        res = tuple(frozenset(V(tag, (s if stride > 0 else -s) + i)
+                              for tag in rng.choice(["a", "b", "ab"])
+                              for i in range(rng.randint(0, size)))
+                    for s in starts)
+        const = frozenset(V(rng.choice("ab"), rng.randint(-3, 3))
+                          for _ in range(rng.choice([0, 1, 1, 2])))
+        segs.append(rng.choice([omega, omega_star, zeta])())
+        temps.append(PeriodicBags(p, res, stride, const))
+    return Decomposition(Line(tuple(segs)), tuple(temps))
+
+
+def test_tidy_on_two_tags_with_mobile_constants():
+    """3,000 draws of seed 22; the 852 that verify are checked (535 of
+    them change)."""
+    rng = random.Random(22)
+    checked = 0
+    for _ in range(3000):
+        try:
+            d = two_tag_draw(rng)
+        except ValueError:
+            continue
+        if not verify(d).ok:
+            continue
+        td = tidy(d)
+        assert verify(td).ok
+        # hulls end within 40 offsets of 0 (10 blocks of period 4), and six
+        # output bags past one span at most 24 offsets
+        for a, b in ((d, td), (td, d)):
+            _, small = materialize(a, 6)
+            _, large = materialize(b, 80)
+            assert small.vertices <= large.vertices and small.edges <= large.edges
+        assert_window_tidy(window_bags(td, 12))
+        assert tidy(td) is td
+        checked += 1
+    assert checked == 852
+
+
+def test_tidy_builds_each_hull_bag_once_and_one_past_each_tail_edge():
+    # no collisions: the zeta's hull is blocks -2..1, its tails start at -3 and 2
+    d = counting(band(zeta(), k=2))
+    assert tidy(d) is d
+    assert sorted(d.templates[0].built) == list(range(-3, 3))
+    # the pinned v:3 collides in block 3: the hull runs to block 5
+    t = CountingPeriodicBags(1, (bag_of(("v", 0)),), 1, bag_of(("v", 3)))
+    tidy(Decomposition(Line.of(omega()), (t,)))
+    assert sorted(t.built) == list(range(7))
 
 
 @st.composite

@@ -51,8 +51,8 @@ from linedecomp.splits import (
 
 from conftest import (
     CountingBags,
-    CountingPeriodicBags,
     _random_periodic,
+    counting,
     window_meetings_by_scan,
 )
 
@@ -441,13 +441,6 @@ def test_families_at_the_window_edges_keep_their_formula(random_corpus):
 
 # ---------------------------------------------------------------------------
 # Bag builds: one sweep shares each point between neighbouring cuts
-
-
-def counting(d):
-    """d with every periodic template replaced by one that logs its bags."""
-    return Decomposition(d.line, tuple(
-        CountingPeriodicBags(t.period, t.residues, t.stride, t.constant)
-        if isinstance(t, PeriodicBags) else t for t in d.templates), d.z1, d.z2)
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
