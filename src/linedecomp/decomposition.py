@@ -418,8 +418,14 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
     """None when every vertex's occurrence set is an interval of the line,
     else (vertex, r, s, t) with the vertex in the bags at r and t but not s,
     for the least failing vertex among the candidates checked.
+
+    An explicit vertex is settled, and not a candidate, when it occurs in
+    one explicit segment only, without a gap, and no periodic template holds
+    a vertex of its tag.  `_occurrence_in_segment` sees a vertex in a
+    periodic segment only through vertices of its tag, so a settled vertex
+    occupies one segment: nothing pins it to an end, its offsets are
+    contiguous, and `_check_candidate` returns None for it.
     """
-    occ = _explicit_occurrences(d)
     candidates: set[VertexId] = set()
 
     # 1) shifted orbits within one periodic segment: a pattern with a gap
@@ -453,19 +459,34 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
                                        t2.stride, m2, _block_range(k2), count=need)
                 candidates.update(VertexId(tag, i) for i in shared)
 
-    # 3) concrete candidates: statics, pinned vertices, unshifted mobiles and
-    #    everything in explicit bags
-    for j, t in enumerate(d.templates):
-        if j in occ:
-            candidates.update(occ[j])
+    # 3) concrete candidates: statics, pinned vertices and unshifted mobiles
+    #    of periodic templates, and the explicit vertices left unsettled by
+    #    one sweep per explicit segment: those that come back after leaving,
+    #    those of two explicit segments, those of a tag a template holds
+    tags: set[str] = set()
+    seen: set[VertexId] = set()
+    for t in d.templates:
+        if isinstance(t, ExplicitBags):
+            prev, left = frozenset(), set()
+            for b in t.bags:
+                left |= prev - b
+                candidates |= b & left
+                prev = b
+            left |= prev
+            candidates |= seen & left
+            seen |= left
         else:
             candidates.update(t.constant)
+            tags.update(v.tag for v in t.constant)
             for res in t.residues:
-                for v in res:
-                    if v.is_static or t.stride == 0:
-                        candidates.add(v)
+                tags.update(v.tag for v in res)
+                candidates.update(v for v in res if v.is_static or t.stride == 0)
+    candidates.update(v for v in seen if v.tag in tags)
+    if not candidates:
+        return None
 
     # the least failing vertex: each counterexample starts with its vertex
+    occ = _explicit_occurrences(d)
     return min(filter(None, (_check_candidate(d, v, occ) for v in candidates)),
                key=lambda bad: bad[0], default=None)
 
@@ -571,9 +592,12 @@ def limit_vertices(d: Decomposition, side: Side) -> Bag:
 def verify(d: Decomposition) -> VerificationReport:
     """Check betweenness and the designated limit vertices; a betweenness
     counterexample names the least failing vertex among the candidates
-    checked.  Finite segments cost O(B + V*S): one pass over the B vertex
-    slots of their bags, then one lookup per candidate vertex and segment.
-    Periodic ones use templates."""
+    checked.  Finite segments cost one set sweep each, O(B) over the B
+    vertex slots of their bags.  Per-vertex checks, one lookup per segment,
+    run only for gapped vertices, vertices of two explicit segments and
+    vertices whose tag a periodic template holds; every other vertex is
+    settled by the sweep, as `_betweenness_counterexample` argues.
+    Periodic segments use templates."""
     w = width(d)
     bad = _betweenness_counterexample(d)
     if bad is not None:

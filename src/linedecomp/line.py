@@ -219,19 +219,6 @@ def compare_cuts(line: Line, a: Cut, b: Cut) -> Ordering:
     return Ordering.LT if ka < kb else Ordering.GT
 
 
-def cut_after_point(line: Line, p: Point) -> Optional[Cut]:
-    """The canonical cut whose interval is everything up to ``p`` inclusive.
-
-    Returns None when ``p`` is the greatest point of the line (the interval
-    would be the full line).
-    """
-    check_point(line, p)
-    seg = line.segments[p.segment]
-    if p.segment == len(line.segments) - 1 and seg.max_offset == p.offset:
-        return None
-    return Cut(p.segment, CutPosition.AFTER_OFFSET, p.offset)
-
-
 # ---------------------------------------------------------------------------
 # Reversal
 

@@ -29,7 +29,6 @@ from linedecomp.line import (
     UnsupportedScopeError,
     all_points,
     compare_cuts,
-    cut_after_point,
     enumerate_cuts,
     normalize_cut,
 )
@@ -555,14 +554,18 @@ class RepeatedSplit:
 
 
 def repeated_splits(d: Decomposition) -> list[RepeatedSplit]:
+    """On a finite line the split after the k-th point is the overlap of the
+    k-th bag and the next one in the flattened bag list, as in
+    boundary_splits, so each bag is read once."""
     if any(not s.is_finite for s in d.line.segments):
         raise UnsupportedScopeError(
             "repeated splits are only computed on finite lines")
     pts = all_points(d.line)
-    cuts = [cut_after_point(d.line, p) for p in pts[:-1]]
+    bags = [b for t in d.templates for b in t.bags]
     groups: dict[Bag, tuple[list[int], list[Cut]]] = {}
-    for k, (c, s) in enumerate(zip(cuts, boundary_splits(d, cuts)), 1):
-        ks, cs = groups.setdefault(s, ([], []))
+    for k, (p, a, b) in enumerate(zip(pts, bags, bags[1:]), 1):
+        c = Cut(p.segment, CutPosition.AFTER_OFFSET, p.offset)
+        ks, cs = groups.setdefault(a & b, ([], []))
         ks.append(k)
         cs.append(c)
     reps = [(s, ks, cs) for s, (ks, cs) in groups.items() if len(ks) >= 2]

@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from linedecomp import decomposition
 from linedecomp.line import (
     Cut,
     CutPosition,
@@ -322,6 +323,47 @@ def test_verify_reads_each_bag_a_bounded_number_of_times(max_bag):
     assert verify(d).ok
     # a bounded number of passes, however many vertices the bags hold
     assert bags.reads <= 4 * len(bags)
+
+
+def test_verify_checks_vertices_that_a_periodic_segment_reaches():
+    # u:5 is alone in its finite segment and never leaves it there, but the
+    # omega's residue {u:0} with stride 1 brings it back at offset 5
+    d = Decomposition(Line.of(fin(1), omega()), (
+        ExplicitBags((bag_of(("u", 5)),)),
+        PeriodicBags(1, (bag_of(("u", 0)),), 1)))
+    assert verify(d).counterexample == (
+        V("u", 5), Point(0, 0), Point(1, 4), Point(1, 5))
+    # x is gap-free in each finite segment it occurs in, 0 and 2, but
+    # absent from segment 1 between them
+    d = Decomposition(Line.of(fin(2), fin(1), fin(2)), (
+        ExplicitBags((bag_of("a", "x"), bag_of("a"))),
+        ExplicitBags((bag_of("a", "b"),)),
+        ExplicitBags((bag_of("b", "x"), bag_of("b")))))
+    assert verify(d).counterexample == (V("x"), Point(0, 0), Point(1, 0), Point(2, 0))
+
+
+def test_verify_settles_a_valid_chain_without_per_vertex_checks(monkeypatch):
+    built = []
+    real = decomposition._explicit_occurrences
+    monkeypatch.setattr(decomposition, "_explicit_occurrences",
+                        lambda d: built.append(d) or real(d))
+    chain = random_decomposition(random.Random(1600), bags=1600, max_bag=5)
+    assert verify(chain).ok
+    assert built == []
+    # the first vertex, put back into a bag well after its last one
+    bags = list(chain.templates[0].bags)
+    v = min(bags[0])
+    last = max(i for i, b in enumerate(bags) if v in b)
+    bags[last + 100] |= {v}
+    d = explicit(*bags)
+    failing = set()
+    for w in set().union(*bags):
+        offs = [i for i, b in enumerate(bags) if w in b]
+        if offs[-1] - offs[0] + 1 != len(offs):
+            failing.add(w)
+    rep = verify(d)
+    assert v in failing and rep.counterexample[0] == min(failing)
+    assert_counterexample_sound(d, rep)
 
 
 @given(arbitrary_bags())

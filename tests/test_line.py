@@ -19,7 +19,6 @@ from linedecomp.line import (
     compare_cuts,
     compare_points,
     count_points_between,
-    cut_after_point,
     enumerate_cuts,
     fin,
     is_integral,
@@ -52,6 +51,16 @@ def point_in_cut(line: Line, p: Point, c: Cut) -> bool:
     if c.position is CutPosition.AFTER_SEGMENT:
         return True
     return p.offset <= c.offset
+
+
+def cut_after_point(line: Line, p: Point):
+    """The canonical cut whose interval is everything up to ``p`` inclusive,
+    or None when ``p`` is the greatest point of the line."""
+    check_point(line, p)
+    seg = line.segments[p.segment]
+    if p.segment == len(line.segments) - 1 and seg.max_offset == p.offset:
+        return None
+    return Cut(p.segment, CutPosition.AFTER_OFFSET, p.offset)
 
 
 def reverse_offset(seg: Segment, i: int) -> int:
