@@ -250,15 +250,16 @@ def _block_range(kind: SegmentKind) -> tuple[Optional[int], Optional[int]]:
     return (None, None)
 
 
-def _explicit_occurrences(d: Decomposition) -> dict[int, dict[VertexId, list[int]]]:
-    """For each explicit segment j: every vertex of its bags mapped to the
-    offsets where it occurs, in order, from one pass over the bags."""
+def _explicit_occurrences(d: Decomposition, vertices: set[VertexId]
+                          ) -> dict[int, dict[VertexId, list[int]]]:
+    """For each explicit segment j: each of `vertices` in its bags mapped to
+    the offsets where it occurs, in order, from one pass over the bags."""
     occ = {}
     for j, t in enumerate(d.templates):
         if isinstance(t, ExplicitBags):
             occ[j] = seen = collections.defaultdict(list)
             for i, b in enumerate(t.bags):
-                for v in b:
+                for v in b & vertices:
                     seen[v].append(i)
     return occ
 
@@ -266,7 +267,8 @@ def _explicit_occurrences(d: Decomposition) -> dict[int, dict[VertexId, list[int
 def _occurrence_in_segment(d: Decomposition, j: int, v: VertexId, occ):
     """Exact occurrence descriptor of a concrete vertex within one segment:
     ('none',) | ('all',) | ('offsets', sorted offsets) | ('residues', frozenset).
-    Explicit segments are read from `occ`, built by `_explicit_occurrences`.
+    Explicit segments are read from `occ`, built by `_explicit_occurrences`
+    over a set holding v.
     """
     t = d.templates[j]
     if isinstance(t, ExplicitBags):
@@ -485,8 +487,9 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
     if not candidates:
         return None
 
-    # the least failing vertex: each counterexample starts with its vertex
-    occ = _explicit_occurrences(d)
+    # the least failing vertex: each counterexample starts with its vertex;
+    # every lookup in occ asks about the candidate being checked
+    occ = _explicit_occurrences(d, candidates)
     return min(filter(None, (_check_candidate(d, v, occ) for v in candidates)),
                key=lambda bad: bad[0], default=None)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 
 class UnsupportedScopeError(ValueError):
@@ -280,71 +280,6 @@ def all_points(line: Line) -> list[Point]:
 def is_well_order(line: Line) -> bool:
     return all(seg.kind in (SegmentKind.FIN, SegmentKind.OMEGA)
                for seg in line.segments)
-
-
-def count_points_between(line: Line, a: Point, b: Point) -> Optional[int]:
-    """Number of points p with a < p <= b, or None when infinite.
-
-    Requires a <= b.
-    """
-    if compare_points(line, a, b) is Ordering.GT:
-        raise ValueError("expected a <= b")
-    if a.segment == b.segment:
-        return b.offset - a.offset
-    total = 0
-    seg_a = line.segments[a.segment]
-    if seg_a.kind is SegmentKind.FIN:
-        total += seg_a.length - 1 - a.offset
-    elif seg_a.kind is SegmentKind.OMEGA_STAR:
-        total += -1 - a.offset
-    else:
-        return None
-    for j in range(a.segment + 1, b.segment):
-        mid = line.segments[j]
-        if not mid.is_finite:
-            return None
-        total += mid.length
-    seg_b = line.segments[b.segment]
-    if seg_b.kind in (SegmentKind.FIN, SegmentKind.OMEGA):
-        total += b.offset + 1
-    else:
-        return None
-    return total
-
-
-def is_integral(line: Line) -> tuple[bool, Optional[Callable[[Point], int]]]:
-    """Does the line order-embed into the integers?
-
-    Equivalent to every closed interval [r, t] being finite.  In the segment
-    algebra that means: any segment with points above it must have finite
-    upward tails (Fin or omega*), and any segment with points below it must
-    have finite downward parts (Fin or omega).  When true, the second
-    component is a strictly monotone map into the integers, anchored at the
-    accessible end of the first segment.
-    """
-    n = len(line.segments)
-    for j, seg in enumerate(line.segments):
-        if j < n - 1 and seg.kind in (SegmentKind.OMEGA, SegmentKind.ZETA):
-            return False, None
-        if j > 0 and seg.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA):
-            return False, None
-
-    seg0 = line.segments[0]
-    anchor = Point(0, -1) if seg0.kind is SegmentKind.OMEGA_STAR else Point(0, 0)
-
-    def phi(p: Point) -> int:
-        order = compare_points(line, p, anchor)
-        if order is Ordering.EQ:
-            return 0
-        if order is Ordering.GT:
-            k = count_points_between(line, anchor, p)
-        else:
-            k = count_points_between(line, p, anchor)
-            k = None if k is None else -k
-        assert k is not None  # integral: all intervals finite
-        return k
-
-    return True, phi
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,22 @@ minimum-size splits by an interval of the integers, witness-range
 dichotomies, and repeated splits on finite lines.
 
 Everything here works on a window of explicitly evaluated cuts plus a
-classification of how splits behave beyond the window.  Deep inside a
-periodic segment the split at a cut one period further out is obtained from
-the current one by a fixed rule: either it is identical (a constant family)
-or the mobile part shifts by the stride (a marching family).  The window is
-sized so that all irregular behavior (finite segments, pinned-vertex
-collisions, vertices shared between segments) is inside it, so beyond it
-each alignment class is one SplitFamily, and questions about repeated
-splits are answered by arithmetic on the families.
+classification of how splits behave beyond the window.  A split inside a
+periodic segment is its template's split formula, so one period further
+out it is identical (a constant family) or its mobile part shifts by the
+stride (a marching family), except where a shifted base meets a mobile
+vertex of the segment constant (a collision).  The window runs out to an
+exact radius: every finite segment whole, every periodic segment past its
+last collision (L1, _evaluation_radius).  Beyond it each alignment class is
+one SplitFamily, and questions about repeated splits are answered by
+arithmetic on the families.  The minimum splits keep a wider radius as
+their numbering origin (split_budget): the entries between the two radii
+are read off the families.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,18 +84,14 @@ def before(d: Decomposition, s1: Split, s2: Split) -> Ordering:
 
 
 def _template_reach(t: PeriodicBags) -> int:
-    """Offset radius beyond which the template's splits behave generically."""
+    """The collision reach of a template: 2 * period, or more so that every
+    collision offset o (o in offsets_of(c) for a mobile constant vertex c)
+    has |o| + period < reach.  The split at offset i is shift(bases[r],
+    stride * b) | constant for i = b * period + r, and a shifted base vertex
+    is c only where i is in offsets_of(c), so past the reach every split
+    follows its class's formula."""
     p = t.period
     reach = 2 * p
-    per_tag: dict[str, int] = {}
-    for res in t.residues:
-        for v in res:
-            if v.index is not None:
-                per_tag[v.tag] = per_tag.get(v.tag, 0) + 1
-    if per_tag:
-        # a vertex shared with a neighbouring segment can be pinned at most
-        # this deep: its occurrence is one run touching every entry of its tag
-        reach = max(reach, p * (max(per_tag.values()) + 2))
     if t.stride:
         for c in t.constant:
             if c.is_mobile:
@@ -100,18 +100,37 @@ def _template_reach(t: PeriodicBags) -> int:
     return reach
 
 
+def _evaluation_radius(d: Decomposition) -> int:
+    """The offset radius of the evaluated split window: the longest finite
+    segment and every collision reach, plus one.  enumerate_cuts then lists
+    every cut of a finite segment.  L1 (sizing): block 0 of every class
+    (_classify_deep) sits at an offset of magnitude at least the radius, so
+    more than a period beyond every collision, and block -1 of every class
+    is a window cut beyond every collision too."""
+    longest = max((s.length for s in d.line.segments if s.kind is SegmentKind.FIN),
+                  default=0)
+    reach = max((_template_reach(t) for t in d.templates
+                 if isinstance(t, PeriodicBags)), default=0)
+    return max(longest, reach) + 1
+
+
 def split_budget(d: Decomposition) -> int:
-    """The offset radius of the split window.  L1 (sizing): for a mobile
-    vertex c of a segment constant, each o in offsets_of(c) (c also in a
-    shifted residue: a collision) has |o| + p < _template_reach < budget,
-    so block 0 of every class (_classify_deep) lies beyond every collision."""
+    """The numbering origin of the minimum splits (min_splits reads the
+    entries out to it off the families) and the offset radius of the
+    `linedecomp splits` listing.  Its reach also covers how deep a vertex
+    shared with a neighbouring segment can be pinned, so it exceeds the
+    evaluation radius by more than |offsets_of(v)| for every mobile residue
+    vertex v, the premise of _edge_tail."""
     span = sum(s.length for s in d.line.segments if s.kind is SegmentKind.FIN)
     per = 1
     reach = 0
     for t in d.templates:
         if isinstance(t, PeriodicBags):
             per = max(per, t.period)
-            reach = max(reach, _template_reach(t))
+            tags = collections.Counter(v.tag for res in t.residues for v in res
+                                       if v.is_mobile)
+            pinned = t.period * (max(tags.values()) + 2) if tags else 0
+            reach = max(reach, _template_reach(t), pinned)
     return 2 * (span + per) + 2 * reach + 8
 
 
@@ -166,7 +185,7 @@ class SplitFamily:
 
     segment: int
     direction: int  # +1 marching toward larger offsets, -1 toward smaller
-    offset: int  # cut offset at block 0, at the edge of the window
+    offset: int  # cut offset at block 0, just past the radius it was classified at
     period: int
     step: int  # index shift of the mobile part per block
     fixed: Bag
@@ -231,7 +250,7 @@ def _classify_deep(d: Decomposition, j: int, direction: int,
     C the segment constant.  So a class's split at block b is
     C | shift(Y, step * b) for its split Y at the edge cut, and the shifted
     mobile part meets the fixed one only at a collision: none lies beyond
-    the edge (L1, split_budget).
+    the edge (L1, _evaluation_radius).
 
     L2 (statics): in a verifying decomposition a static vertex of residue r
     is in the bags at r and r + period, so by betweenness in every bag of
@@ -258,10 +277,15 @@ class MinSplitIndexing:
     """The distinct minimum-size splits, numbered by an interval of the
     integers so that lower indices come before higher ones.
 
-    K is [lo, hi] with None for an unbounded end.  Window entries carry all
-    their witness cuts inside the evaluation window; tail entries are
-    generated on demand from the marching families of size m, which take
-    turns block by block, window-side first.
+    K is [lo, hi] with None for an unbounded end.  The window runs out to
+    split_budget, the numbering origin; tail entries past it are generated
+    on demand from the marching families of size m, which take turns block
+    by block, window-side first.  A window entry carries its witness cuts
+    inside the evaluation radius (_evaluation_radius), and an entry read off
+    a marching family between the two radii its one cut there.  A split of
+    a constant family recurs at every block: its witnesses past the radius
+    are left out, and they lie between the entry's first and last listed
+    witness, or run off to an end, where its bound is the Side marker.
     """
 
     m: Optional[int]
@@ -320,15 +344,17 @@ class SplitAnalysis:
     past both ends of the line.  Build it with analyze_splits and ask it as
     many questions as needed: the window is evaluated once.
 
+    The window holds every cut out to the offset radius (_evaluation_radius).
     low and high hold the families of the reaches running off the ends of
-    the line, one per alignment class in offset order from the window edge.
-    The families of the interior infinite reaches are not part of it:
-    interior_classes classifies them for the questions that need them.
-    m is the minimum split size, None when there are no cuts.
+    the line, classified just past it, one per alignment class in offset
+    order from the window edge.  The families of the interior infinite
+    reaches are not part of it: interior_classes classifies them for the
+    questions that need them.  m is the minimum split size, None when there
+    are no cuts.
     """
 
     d: Decomposition
-    budget: int
+    radius: int
     window_cuts: tuple[Cut, ...]
     window_splits: tuple[Bag, ...]
     low: Optional[tuple[SplitFamily, ...]]
@@ -340,30 +366,29 @@ class SplitAnalysis:
         of the line, classified one reach at a time.  A reach's block 0
         starts at the segment's outermost window cut."""
         n = len(self.d.line.segments)
-        b = self.budget
-        for j, seg in enumerate(self.d.line.segments):
-            reaches = []
-            if seg.kind is SegmentKind.OMEGA and j < n - 1:
-                reaches.append((+1, b))
-            if seg.kind is SegmentKind.OMEGA_STAR and j > 0:
-                reaches.append((-1, -b - 1))
-            if seg.kind is SegmentKind.ZETA:
-                if j > 0:
-                    reaches.append((-1, -b))
-                if j < n - 1:
-                    reaches.append((+1, b))
-            for direction, base in reaches:
-                yield from _classify_deep(self.d, j, direction, base)
+        for j, direction in _reaches(self.d.line):
+            if (j, direction) not in ((0, -1), (n - 1, +1)):
+                yield from _families_past(self.d, j, direction, self.radius)
 
     def min_splits(self) -> MinSplitIndexing:
+        """The tails are the families past split_budget, the numbering
+        origin; the entries out to it come from _marching_between."""
         m = self.m
         if m is None:
             return MinSplitIndexing(None, None, None, (), None, None, "no cuts")
         if m == 0:
             return MinSplitIndexing(0, None, None, (), None, None, "disconnected")
 
+        origin = split_budget(self.d)
+        low, high = _end_families(self.d, origin)
+        low_tail = self._edge_tail(low) if low else None
+        high_tail = self._edge_tail(high) if high else None
+        between = origin - self.radius
         entries: list[tuple[Bag, list[Cut]]] = []
-        for c, s in zip(self.window_cuts, self.window_splits):
+        for c, s in itertools.chain(
+                reversed(self._marching_between(self.low, between)),
+                zip(self.window_cuts, self.window_splits),
+                self._marching_between(self.high, between)):
             if len(s) != m:
                 continue
             if entries and entries[-1][0] == s:
@@ -371,27 +396,43 @@ class SplitAnalysis:
             else:
                 entries.append((s, [c]))
         window = tuple(Split(s, tuple(cs)) for s, cs in entries)
-        low_tail = self._edge_tail(self.low) if self.low else None
-        high_tail = self._edge_tail(self.high) if self.high else None
 
         lo = None if low_tail else 0
         hi = None if high_tail else len(window) - 1
         return MinSplitIndexing(m, lo, hi, window, low_tail, high_tail)
 
+    def _marching_between(self, side: Optional[tuple[SplitFamily, ...]],
+                          cuts: int) -> list[tuple[Cut, Bag]]:
+        """The cut and split of every marching class of size m of one end
+        among its first `cuts` cuts past the radius, outward, by the family
+        formula (L1).  No other cut there adds an entry.  A constant family
+        has its split at every block, block -1 in the window too, and no
+        marching family of size m shares its end (L2, _classify_deep): so
+        its cuts there only extend the window entry next to the edge."""
+        if not side:
+            return []
+        p = len(side)
+        marching = [(a, f) for a, f in enumerate(side) if f.mobile and f.size == self.m]
+        return [(f.cut(b), f.at(b)) for b in range(-(-cuts // p))
+                for a, f in marching if b * p + a < cuts]
+
     def _edge_tail(self, side: tuple[SplitFamily, ...]
                    ) -> Optional[tuple[SplitFamily, ...]]:
-        """The marching families of minimum splits at one end, or None.
+        """The marching families of minimum splits at one end, classified at
+        the numbering origin (split_budget), or None.
 
-        Nothing else beyond the window needs a number.  An interior reach
+        Nothing else beyond the origin needs a number.  An interior reach
         has no marching minimum split: the limit cut bounding it is a window
         cut with a smaller split (L2, _classify_deep).  A constant family is
         its split at every cut of its class, so at a window cut too (interior
         block 0, or one period in from an end's block 0), and by L2 never
-        shares an end with a marching minimum family.  A window cut with
-        split f.at(b) lies in f's segment within |offsets_of| < budget bags
-        of f.cut(b), so beyond every collision (L1); its translates outward
-        are f.at(b + 1), ... up to block 0 of a marching class: another
-        class, a common split refused below, or f's own, a repeat of f.
+        shares an end with a marching minimum family.  A cut with split
+        f.at(b) lies in f's segment within |offsets_of(v)| bags of f.cut(b),
+        v a moving vertex of the split, and the origin lies further than that
+        past the radius: so past the radius, where splits follow their
+        class's formula (L1), and its translates outward are f.at(b + 1), ...
+        up to block 0 of a marching class: another class, a common split
+        refused below, or f's own, a repeat of f.
         """
         marching = tuple(f for f in side if f.mobile and f.size == self.m)
         if not marching:
@@ -471,9 +512,9 @@ class SplitAnalysis:
             blk, r = divmod(edge.direction * (wit.offset - edge.offset), len(side))
             if blk < 0 or not side[r].mobile:
                 continue  # in the window, or merges with its witnesses below
-            # a marching tail member: it meets no window split (_edge_tail),
-            # min_splits refuses one that meets another family, and one
-            # family never repeats a split, so this cut is its only witness
+            # a marching member past the radius: it meets no window split
+            # (_edge_tail), min_splits refuses one that meets another family,
+            # and one family never repeats a split: its only witness
             if side[r].at(blk) != s.vertices:
                 raise ValueError("the given cut does not witness this split")
             return SplitBounds(wit, wit)
@@ -492,34 +533,44 @@ class SplitAnalysis:
         return SplitBounds(lower, upper)
 
 
+def _reaches(line) -> Iterator[tuple[int, int]]:
+    """(segment, direction) of every infinite reach, in line order: down an
+    omega* or zeta segment (-1), up an omega or zeta segment (+1)."""
+    for j, seg in enumerate(line.segments):
+        if seg.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA):
+            yield j, -1
+        if seg.kind in (SegmentKind.OMEGA, SegmentKind.ZETA):
+            yield j, +1
+
+
+def _families_past(d: Decomposition, j: int, direction: int,
+                   edge: int) -> tuple[SplitFamily, ...]:
+    """The families of one reach with block 0 at the first offsets past
+    enumerate_cuts(line, edge) in segment j."""
+    omega_star = d.line.segments[j].kind is SegmentKind.OMEGA_STAR
+    base = edge if direction > 0 else -edge - 1 if omega_star else -edge
+    return _classify_deep(d, j, direction, base)
+
+
+def _end_families(d: Decomposition, edge: int) -> tuple:
+    """The families past `edge` of the reaches running off the low and the
+    high end of the line, None for a closed end."""
+    reaches = set(_reaches(d.line))
+    return tuple(_families_past(d, *r, edge) if r in reaches else None
+                 for r in ((0, -1), (len(d.line.segments) - 1, +1)))
+
+
 def analyze_splits(d: Decomposition) -> SplitAnalysis:
     """Evaluate the split window of d and classify both line ends.
     Precondition: d verifies."""
-    line = d.line
-    budget = split_budget(d)
-    cuts = enumerate_cuts(line, budget)
-    n = len(line.segments)
-    low = high = None
-    first, last = line.segments[0], line.segments[-1]
-    if first.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA):
-        base = -budget - 1 if first.kind is SegmentKind.OMEGA_STAR else -budget
-        low = _classify_deep(d, 0, -1, base)
-    if last.kind in (SegmentKind.OMEGA, SegmentKind.ZETA):
-        high = _classify_deep(d, n - 1, +1, budget)
-
-    def in_deep(c: Cut) -> bool:
-        if c.position is not CutPosition.AFTER_OFFSET:
-            return False
-        if low and c.segment == 0 and c.offset <= low[0].offset:
-            return True
-        if high and c.segment == n - 1 and c.offset >= high[0].offset:
-            return True
-        return False
-
-    window_cuts = tuple(c for c in cuts if not in_deep(c))
+    radius = _evaluation_radius(d)
+    low, high = _end_families(d, radius)
+    # block 0 of an end's class 0 is the outermost cut listed at that end
+    cuts = enumerate_cuts(d.line, radius)
+    window_cuts = tuple(cuts[bool(low):len(cuts) - bool(high)])
     window_splits = boundary_splits(d, window_cuts)
     m = min(map(len, window_splits)) if window_splits else None
-    return SplitAnalysis(d, budget, window_cuts, window_splits, low, high, m)
+    return SplitAnalysis(d, radius, window_cuts, window_splits, low, high, m)
 
 
 def enumerate_min_splits(d: Decomposition) -> MinSplitIndexing:
@@ -553,6 +604,18 @@ class RepeatedSplit:
     maximal: bool
 
 
+def _maximal(spans: list[tuple[int, int]]) -> list[bool]:
+    """For each span (lo, hi): does no other span contain it?  Sorted by
+    (lo, -hi), the distinct spans containing one come before it, so one sort
+    and a running maximum of hi decide all of them."""
+    inside, reach = set(), -math.inf
+    for lo, hi in sorted(set(spans), key=lambda s: (s[0], -s[1])):
+        if reach >= hi:
+            inside.add((lo, hi))
+        reach = max(reach, hi)
+    return [s not in inside for s in spans]
+
+
 def repeated_splits(d: Decomposition) -> list[RepeatedSplit]:
     """On a finite line the split after the k-th point is the overlap of the
     k-th bag and the next one in the flattened bag list, as in
@@ -569,14 +632,9 @@ def repeated_splits(d: Decomposition) -> list[RepeatedSplit]:
         ks.append(k)
         cs.append(c)
     reps = [(s, ks, cs) for s, (ks, cs) in groups.items() if len(ks) >= 2]
-    spans = [(min(ks), max(ks)) for _, ks, _ in reps]
-    out = []
-    for (s, ks, cs), (lo, hi) in zip(reps, spans):
-        maximal = not any(
-            (lo2 <= lo and hi <= hi2) and (lo2, hi2) != (lo, hi)
-            for lo2, hi2 in spans)
-        out.append(RepeatedSplit(Split(s, tuple(cs)),
-                                 (pts[lo], pts[hi - 1]), maximal))
+    spans = [(ks[0], ks[-1]) for _, ks, _ in reps]
+    out = [RepeatedSplit(Split(s, tuple(cs)), (pts[lo], pts[hi - 1]), maximal)
+           for (s, _, cs), (lo, hi), maximal in zip(reps, spans, _maximal(spans))]
     out.sort(key=lambda r: (r.interval[0].segment, r.interval[0].offset,
                             sorted(r.split.vertices)))
     return out

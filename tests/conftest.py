@@ -6,15 +6,18 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from typing import Optional
+from typing import Callable, Optional
 
 from linedecomp.line import (
     Cut,
     CutPosition,
     Line,
+    Ordering,
     Point,
     SegmentKind,
     check_cut,
+    compare_points,
+    enumerate_cuts,
     fin,
     is_well_order,
     omega,
@@ -29,9 +32,11 @@ from linedecomp.decomposition import (
     V,
     VertexId,
     bag_at,
+    boundary_splits,
     full_vertices,
     verify,
 )
+from linedecomp.splits import SplitAnalysis, _classify_deep, split_budget
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +92,115 @@ def oracle_split(d: Decomposition, c: Cut) -> Bag:
     up = (bag_at(d, above) if above is not None
           else full_vertices(d, segment_above_cut(d.line, c)))
     return down & up
+
+
+# ---------------------------------------------------------------------------
+# Integral lines
+#
+# Whether a line order-embeds into the integers, and the embedding, by
+# counting the points between two points.  The library never needs either;
+# the tests use them to check the line algebra's order against the integers.
+
+
+def count_points_between(line: Line, a: Point, b: Point) -> Optional[int]:
+    """Number of points p with a < p <= b, or None when infinite.
+
+    Requires a <= b.
+    """
+    if compare_points(line, a, b) is Ordering.GT:
+        raise ValueError("expected a <= b")
+    if a.segment == b.segment:
+        return b.offset - a.offset
+    total = 0
+    seg_a = line.segments[a.segment]
+    if seg_a.kind is SegmentKind.FIN:
+        total += seg_a.length - 1 - a.offset
+    elif seg_a.kind is SegmentKind.OMEGA_STAR:
+        total += -1 - a.offset
+    else:
+        return None
+    for j in range(a.segment + 1, b.segment):
+        mid = line.segments[j]
+        if not mid.is_finite:
+            return None
+        total += mid.length
+    seg_b = line.segments[b.segment]
+    if seg_b.kind in (SegmentKind.FIN, SegmentKind.OMEGA):
+        total += b.offset + 1
+    else:
+        return None
+    return total
+
+
+def is_integral(line: Line) -> tuple[bool, Optional[Callable[[Point], int]]]:
+    """Does the line order-embed into the integers?
+
+    Equivalent to every closed interval [r, t] being finite.  In the segment
+    algebra that means: any segment with points above it must have finite
+    upward tails (Fin or omega*), and any segment with points below it must
+    have finite downward parts (Fin or omega).  When true, the second
+    component is a strictly monotone map into the integers, anchored at the
+    accessible end of the first segment.
+    """
+    n = len(line.segments)
+    for j, seg in enumerate(line.segments):
+        if j < n - 1 and seg.kind in (SegmentKind.OMEGA, SegmentKind.ZETA):
+            return False, None
+        if j > 0 and seg.kind in (SegmentKind.OMEGA_STAR, SegmentKind.ZETA):
+            return False, None
+
+    seg0 = line.segments[0]
+    anchor = Point(0, -1) if seg0.kind is SegmentKind.OMEGA_STAR else Point(0, 0)
+
+    def phi(p: Point) -> int:
+        order = compare_points(line, p, anchor)
+        if order is Ordering.EQ:
+            return 0
+        if order is Ordering.GT:
+            k = count_points_between(line, anchor, p)
+        else:
+            k = count_points_between(line, p, anchor)
+            k = None if k is None else -k
+        assert k is not None  # integral: all intervals finite
+        return k
+
+    return True, phi
+
+
+# ---------------------------------------------------------------------------
+# The split window at full radius
+#
+# analyze_splits as the library first wrote it: every cut out to
+# split_budget evaluated through boundary_splits, and the line ends
+# classified there.  At that radius min_splits reads no entry off the
+# families, so it numbers the minimum splits from evaluated cuts alone.  The
+# library evaluates only out to the radius past the last collision; the
+# tests check that both number, bound, refuse and rebuild alike.
+
+
+def full_radius_analysis(d: Decomposition) -> SplitAnalysis:
+    """The split analysis of d with its window evaluated out to
+    split_budget(d)."""
+    budget = split_budget(d)
+    segs = d.line.segments
+    n = len(segs)
+    low = high = None
+    if segs[0].kind is SegmentKind.OMEGA_STAR:
+        low = _classify_deep(d, 0, -1, -budget - 1)
+    if segs[0].kind is SegmentKind.ZETA:
+        low = _classify_deep(d, 0, -1, -budget)
+    if segs[-1].kind in (SegmentKind.OMEGA, SegmentKind.ZETA):
+        high = _classify_deep(d, n - 1, +1, budget)
+
+    def deep(c: Cut) -> bool:
+        return c.position is CutPosition.AFTER_OFFSET and bool(
+            (low and c.segment == 0 and c.offset <= low[0].offset)
+            or (high and c.segment == n - 1 and c.offset >= high[0].offset))
+
+    cuts = tuple(c for c in enumerate_cuts(d.line, budget) if not deep(c))
+    splits = boundary_splits(d, cuts)
+    m = min(map(len, splits)) if splits else None
+    return SplitAnalysis(d, budget, cuts, splits, low, high, m)
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,7 @@ from linedecomp.line import (
     Segment,
     SegmentKind,
     all_points,
-    count_points_between,
     fin,
-    is_integral,
     is_well_order,
     line_ordinal,
     omega,
@@ -60,6 +58,8 @@ from linedecomp.oracle import (
 from linedecomp.prime import factor, is_prime, substitute
 from linedecomp.splits import Split, before, enumerate_min_splits, split_at, split_bounds
 from linedecomp.wo import concat_wo, to_wo
+
+from conftest import count_points_between, is_integral
 
 
 def report(name: str, ok: bool, detail: str) -> None:

@@ -346,7 +346,7 @@ def test_verify_settles_a_valid_chain_without_per_vertex_checks(monkeypatch):
     built = []
     real = decomposition._explicit_occurrences
     monkeypatch.setattr(decomposition, "_explicit_occurrences",
-                        lambda d: built.append(d) or real(d))
+                        lambda d, vertices: built.append(d) or real(d, vertices))
     chain = random_decomposition(random.Random(1600), bags=1600, max_bag=5)
     assert verify(chain).ok
     assert built == []
@@ -364,6 +364,23 @@ def test_verify_settles_a_valid_chain_without_per_vertex_checks(monkeypatch):
     rep = verify(d)
     assert v in failing and rep.counterexample[0] == min(failing)
     assert_counterexample_sound(d, rep)
+
+
+def test_verify_indexes_only_the_candidate_vertices(monkeypatch):
+    built = []
+    real = decomposition._explicit_occurrences
+
+    def spy(d, vertices):
+        built.append(real(d, vertices))
+        return built[-1]
+
+    monkeypatch.setattr(decomposition, "_explicit_occurrences", spy)
+    chain = random_decomposition(random.Random(1600), bags=1600, max_bag=5)
+    bags = list(chain.templates[0].bags)
+    v = min(bags[0])
+    bags[300] |= {v}  # v leaves within the first few bags: one gapped vertex
+    assert verify(explicit(*bags)).counterexample[0] == v
+    assert [set(occ[0]) for occ in built] == [{v}]
 
 
 @given(arbitrary_bags())

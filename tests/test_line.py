@@ -18,10 +18,8 @@ from linedecomp.line import (
     check_point,
     compare_cuts,
     compare_points,
-    count_points_between,
     enumerate_cuts,
     fin,
-    is_integral,
     is_well_order,
     line_ordinal,
     normalize_cut,
@@ -32,7 +30,13 @@ from linedecomp.line import (
     zeta,
 )
 
-from conftest import point_just_above_cut, point_just_below_cut, segment_above_cut
+from conftest import (
+    count_points_between,
+    is_integral,
+    point_just_above_cut,
+    point_just_below_cut,
+    segment_above_cut,
+)
 
 # ---------------------------------------------------------------------------
 # oracles: membership and reversal of points and cuts, spelled out from the

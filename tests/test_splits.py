@@ -7,6 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linedecomp.prime
+import linedecomp.wo
+
 from linedecomp.line import (
     Cut,
     CutPosition,
@@ -15,7 +18,9 @@ from linedecomp.line import (
     Point,
     UnsupportedScopeError,
     all_points,
+    enumerate_cuts,
     fin,
+    is_well_order,
     omega,
     omega_star,
     zeta,
@@ -35,9 +40,11 @@ from linedecomp.decomposition import (
     tidy,
     verify,
 )
+from linedecomp.cli import emit_document
 from linedecomp.oracle import brute_splits, random_decomposition, witness_family
-from linedecomp.prime import splits_all_distinct
+from linedecomp.prime import is_prime, splits_all_distinct
 from linedecomp.splits import (
+    _maximal,
     Split,
     SplitAnalysis,
     SplitFamily,
@@ -47,12 +54,15 @@ from linedecomp.splits import (
     repeated_splits,
     split_at,
     split_bounds,
+    split_budget,
 )
+from linedecomp.wo import to_wo
 
 from conftest import (
     CountingBags,
     _random_periodic,
     counting,
+    full_radius_analysis,
     window_meetings_by_scan,
 )
 
@@ -334,6 +344,28 @@ def test_repeated_invariants_random():
                 assert a[1] < b[0] or b[1] < a[0]
 
 
+def _maximal_by_pairs(spans):
+    """Maximality by definition: no other span contains the span."""
+    return [not any(lo2 <= lo and hi <= hi2 and (lo2, hi2) != (lo, hi)
+                    for lo2, hi2 in spans) for lo, hi in spans]
+
+
+def test_maximal_repeats_match_the_pairwise_definition():
+    for seed in range(40):
+        rng = random.Random(seed + 3800)
+        d = tidy(random_decomposition(rng, bags=rng.randint(2, 60), max_bag=4))
+        pos = {p: i for i, p in enumerate(all_points(d.line))}
+        reps = repeated_splits(d)
+        spans = [(pos[r.interval[0]], pos[r.interval[1]]) for r in reps]
+        assert [r.maximal for r in reps] == _maximal_by_pairs(spans)
+    # spans of distinct splits never coincide on a chain; equal ones here
+    rng = random.Random(38)
+    for _ in range(300):
+        spans = [tuple(sorted((rng.randint(0, 8), rng.randint(0, 8))))
+                 for _ in range(rng.randint(0, 9))]
+        assert _maximal(spans) == _maximal_by_pairs(spans)
+
+
 # ---------------------------------------------------------------------------
 # split families beyond the window, against brute enumeration of their blocks
 
@@ -437,6 +469,97 @@ def test_families_at_the_window_edges_keep_their_formula(random_corpus):
             assert not _family_breaks(d, f), (d, f)
             families += 1
     assert families > 1000
+
+
+# ---------------------------------------------------------------------------
+# The evaluation radius against the full window out to split_budget
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except UnsupportedScopeError as e:
+        return str(e)
+
+
+def _radius_corpus():
+    """The 600 draws of seed 5024 that verify and are not well-ordered, and
+    the witness bands k = 1..8."""
+    rng = random.Random(5024)
+    draws = []
+    for _ in range(600):
+        try:
+            d = _random_periodic(rng)
+        except ValueError:
+            continue
+        if not is_well_order(d.line) and verify(d).ok:
+            draws.append(d)
+    return draws + [witness_family(k) for k in range(1, 9)]
+
+
+def _check_numbering(a, full):
+    """Both analyses number, bound and refuse alike.  A witness cut left
+    out by a is past its radius, and only a bound running off to a Side
+    has its first (last) witness cut there."""
+    idx, want = _outcome(a.min_splits), _outcome(full.min_splits)
+    if isinstance(want, str):
+        assert idx == want
+        return
+    assert (idx.m, idx.lo, idx.hi, idx.note) == (want.m, want.lo, want.hi, want.note)
+    assert (idx.low_tail, idx.high_tail) == (want.low_tail, want.high_tail)
+    window = set(a.window_cuts)
+    for i in filter(want.in_range, range(-12, 90)):
+        got, exp = idx.split(i), want.split(i)
+        assert got.vertices == exp.vertices
+        b = a.bounds(got)
+        assert b == full.bounds(exp)
+        assert set(got.witness_cuts) <= set(exp.witness_cuts)
+        assert ([c for c in got.witness_cuts if c in window]
+                == [c for c in exp.witness_cuts if c in window])
+        assert got.witness_cuts[0] == exp.witness_cuts[0] or b.lower is Side.LEFT
+        assert got.witness_cuts[-1] == exp.witness_cuts[-1] or b.upper is Side.RIGHT
+
+
+def _rebuilt(d):
+    try:
+        return emit_document(to_wo(d))
+    except UnsupportedScopeError as e:
+        return str(e)
+
+
+def test_the_evaluation_radius_decides_as_the_full_window(monkeypatch):
+    corpus = _radius_corpus()
+    assert len(corpus) > 330
+    got = []
+    for d in corpus:
+        a, full = analyze_splits(d), full_radius_analysis(d)
+        _check_numbering(a, full)
+        assert _outcome(a.empty_cuts) == _outcome(full.empty_cuts)
+        got.append((is_prime(d), _rebuilt(d)))
+    # tidy reads no split analysis, so only primality and the rebuild can move
+    monkeypatch.setattr(linedecomp.prime, "analyze_splits", full_radius_analysis)
+    monkeypatch.setattr(linedecomp.wo, "analyze_splits", full_radius_analysis)
+    assert got == [(is_prime(d), _rebuilt(d)) for d in corpus]
+
+
+def _omega_star_then_fin():
+    """lo = None and a finite hi: marching minimum splits {v_i} off the low
+    end, and the last cuts of the line."""
+    t = PeriodicBags(1, (bag_of(("v", 0), ("v", 1)),), 1)
+    tail = ExplicitBags((bag_of(("v", 0), "x"), bag_of("x")))
+    return Decomposition(Line.of(omega_star(), fin(2)), (t, tail))
+
+
+@pytest.mark.parametrize("d, hi_bounded", [(witness_family(6), False),
+                                            (_omega_star_then_fin(), True)],
+                         ids=["band6", "omega_star_fin"])
+def test_the_evaluated_window_is_smaller_than_the_numbering_radius(d, hi_bounded):
+    assert verify(d).ok
+    a = analyze_splits(d)
+    assert len(a.window_cuts) < len(enumerate_cuts(d.line, split_budget(d)))
+    idx = a.min_splits()
+    assert idx.lo is None and (idx.hi is not None) == hi_bounded
+    assert idx.hi == full_radius_analysis(d).min_splits().hi
 
 
 # ---------------------------------------------------------------------------
