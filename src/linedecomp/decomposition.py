@@ -19,6 +19,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -38,41 +39,41 @@ from linedecomp.line import (
 )
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class VertexId:
+class VertexId(tuple):
     """A graph vertex: a tag plus an optional integer index.
 
     Vertices with an index are mobile (they slide along periodic templates);
-    vertices without one are static.
+    vertices without one are static.  The value is the tuple (tag,
+    is_mobile, index or 0, index), so hashing, equality and order run in C:
+    tuple order on it puts statics before mobiles of the same tag, then
+    orders by index, and a vertex never equals a (tag, index) pair.
     """
 
-    tag: str
-    index: Optional[int] = None
+    __slots__ = ()
 
-    @property
-    def is_mobile(self) -> bool:
-        return self.index is not None
+    def __new__(cls, tag: str, index: Optional[int] = None):
+        return tuple.__new__(cls, (tag, index is not None, index or 0, index))
+
+    def __getnewargs__(self):
+        return (self[0], self[3])
+
+    tag = property(operator.itemgetter(0))
+    is_mobile = property(operator.itemgetter(1))
+    index = property(operator.itemgetter(3))
 
     @property
     def is_static(self) -> bool:
-        return self.index is None
+        return self[3] is None
 
     def shift(self, d: int) -> "VertexId":
-        if self.index is None or d == 0:
+        if self[3] is None or d == 0:
             return self
-        return VertexId(self.tag, self.index + d)
+        return tuple.__new__(VertexId, (self[0], True, self[3] + d, self[3] + d))
 
     def __repr__(self):
-        if self.index is None:
-            return f"V({self.tag!r})"
-        return f"V({self.tag!r},{self.index})"
-
-    def __lt__(self, other):
-        # statics sort before mobiles of the same tag
-        a = (self.tag, self.index is not None, self.index or 0)
-        b = (other.tag, other.index is not None, other.index or 0)
-        return a < b
+        if self[3] is None:
+            return f"V({self[0]!r})"
+        return f"V({self[0]!r},{self[3]})"
 
 
 def V(tag: str, index: Optional[int] = None) -> VertexId:
@@ -172,6 +173,8 @@ class Decomposition:
     templates: tuple[BagTemplate, ...]
     z1: Bag = frozenset()
     z2: Bag = frozenset()
+    # what `_remembered` functions found about this object, by name
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.templates) != len(self.line.segments):
@@ -187,6 +190,20 @@ class Decomposition:
                     raise ValueError("infinite segments take periodic templates")
                 if any(not (r | t.constant) for r in t.residues):
                     raise ValueError("bags must be nonempty")
+
+
+def _remembered(fn):
+    """fn(d) computed once per decomposition object and kept on it, which is
+    sound because a Decomposition is never mutated.  A result that is d
+    itself is kept as None, so that d holds no reference to itself."""
+    @functools.wraps(fn)
+    def once(d: Decomposition):
+        out = d._facts.get(fn.__name__, once)
+        if out is once:
+            out = fn(d)
+            d._facts[fn.__name__] = None if out is d else out
+        return d if out is None else out
+    return once
 
 
 def bag_at(d: Decomposition, t: Point) -> Bag:
@@ -592,6 +609,7 @@ def limit_vertices(d: Decomposition, side: Side) -> Bag:
     return full_vertices(d, j)
 
 
+@_remembered
 def verify(d: Decomposition) -> VerificationReport:
     """Check betweenness and the designated limit vertices; a betweenness
     counterexample names the least failing vertex among the candidates
@@ -1002,6 +1020,7 @@ def _assemble(d: Decomposition, zones: list[_Zone]) -> Decomposition:
     return Decomposition(Line(tuple(segs)), tuple(temps), d.z1, d.z2)
 
 
+@_remembered
 def tidy(d: Decomposition) -> Decomposition:
     """Drop every bag that duplicates or nests inside another.
 

@@ -349,6 +349,25 @@ def test_check_verifies_and_tidies_once(tmp_path, capsys, monkeypatch):
     assert calls == {"verify": 1, "tidy": 1}
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_check_reports_a_witness_and_its_rebuild(tmp_path, capsys, k):
+    code, text, _ = run(capsys, "witness", str(k))
+    assert code == 0
+    doc = save(tmp_path, text)
+    assert run(capsys, "check", doc) == (0, f"width {k}, tidy, prime\n", "")
+    code, text, _ = run(capsys, "to-wo", doc)
+    assert code == 0
+    rebuilt = save(tmp_path, text, "rebuilt.json")
+    assert run(capsys, "check", rebuilt) == (0, f"width {2 * k}, well-order\n", "")
+
+
+def test_check_reports_a_tidy_chain_that_is_not_prime(tmp_path, capsys):
+    d = Decomposition(Line.of(fin(3)), (ExplicitBags((
+        bag_of("a", "b"), bag_of("b", "c"), bag_of("b", "d"))),))
+    path = save(tmp_path, emit_document(d))
+    assert run(capsys, "check", path) == (0, "width 1, tidy, well-order\n", "")
+
+
 def test_tidy_command_canonicalizes(tmp_path, capsys):
     d = explicit(bag_of("a"), bag_of("a", "b"), bag_of("b", "c"))
     path = save(tmp_path, emit_document(d))

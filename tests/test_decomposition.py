@@ -6,8 +6,13 @@ reported counterexample.  Symbolic results must agree with them wherever
 both apply.
 """
 
+import copy
+import dataclasses
+import gc
 import itertools
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -55,6 +60,7 @@ from linedecomp.decomposition import (
     verify,
     width,
 )
+from linedecomp.cli import emit_document
 from linedecomp.oracle import materialize, random_decomposition
 
 from conftest import (
@@ -875,6 +881,16 @@ def test_tidy_preserves_finite_graphs(bags):
     assert tidy(td) is td
 
 
+def test_tidy_is_idempotent(random_corpus):
+    rng = random.Random(2805)
+    chains = [random_decomposition(rng, bags=rng.randint(1, 40), max_bag=5,
+                                   connected=rng.random() < 0.8)
+              for _ in range(2000)]
+    for d in random_corpus + chains:
+        td = tidy(d)
+        assert tidy(td) == td, d
+
+
 # ---------------------------------------------------------------------------
 # Slicing
 
@@ -1102,3 +1118,138 @@ def test_remove_whole_residue_retemplates():
     d = Decomposition(Line.of(omega()), (PeriodicBags(2, res, 0),))
     out = remove_from_bags(d, bag_of("a"))
     assert window_bags(out, 3) == [bag_of("b")] * 4
+
+
+# ---------------------------------------------------------------------------
+# Vertex values
+
+
+def test_vertex_order_puts_statics_first_within_a_tag_then_indices():
+    vs = [V("b"), V("a", 2), V("b", -1), V("a"), V("a", -3), V("a", 0)]
+    assert sorted(vs) == [V("a"), V("a", -3), V("a", 0), V("a", 2),
+                          V("b"), V("b", -1)]
+    assert V("a") < V("a", 0) and not V("a", 0) < V("a")
+    assert V("a", 5) < V("b") and V("a", 1) <= V("a", 1)
+
+
+def test_vertex_equality_and_hash_agree():
+    vs = [V("a"), V("a", 0), V("a", 1), V("b"), V("b", 0)]
+    for u, w in itertools.product(vs, repeat=2):
+        twin = VertexId(u.tag, u.index)
+        assert (twin == w) == (u is w)
+        assert twin != w or hash(twin) == hash(w)
+    assert V("a", 1) == VertexId("a", index=1) and len({V("a"), V("a")}) == 1
+    assert V("a", 1) != ("a", 1) and V("a") != "a" and V("a") != ("a",)
+    assert V("a", 0) != V("a")
+
+
+def test_vertex_fields_and_repr():
+    v, s = V("a", 1), V("a")
+    assert (v.tag, v.index, v.is_mobile, v.is_static) == ("a", 1, True, False)
+    assert (s.tag, s.index, s.is_mobile, s.is_static) == ("a", None, False, True)
+    assert v.shift(2) == V("a", 3) and s.shift(2) is s and v.shift(0) is v
+    assert repr(v) == "V('a',1)" and repr(s) == "V('a')" and str(v) == repr(v)
+    assert repr(frozenset({v})) == "frozenset({V('a',1)})"
+
+
+def test_vertex_is_immutable():
+    v = V("a", 1)
+    with pytest.raises(AttributeError):
+        v.index = 2
+    with pytest.raises(AttributeError):
+        v.other = 0
+    with pytest.raises(TypeError):
+        v[0] = "b"
+    assert v == V("a", 1)
+
+
+@pytest.mark.parametrize("v", [V("a"), V("a", 0), V("a", -4), V("xy", 17)])
+def test_vertex_pickles_and_copies(v):
+    for out in [pickle.loads(pickle.dumps(v, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] + [
+                    copy.deepcopy(v), copy.copy(v)]:
+        assert type(out) is VertexId and out == v and hash(out) == hash(v)
+        assert (out.tag, out.index) == (v.tag, v.index)
+
+
+# ---------------------------------------------------------------------------
+# Remembered facts: verify and tidy run once per decomposition object
+
+
+def _count_bodies(monkeypatch):
+    """Counts of the verify and tidy bodies run: each calls its helper
+    once."""
+    runs = {"verify": 0, "tidy": 0}
+    for name, helper in (("verify", "_betweenness_counterexample"),
+                         ("tidy", "_canonical")):
+        def counted(d, real=getattr(decomposition, helper), name=name):
+            runs[name] += 1
+            return real(d)
+        monkeypatch.setattr(decomposition, helper, counted)
+    return runs
+
+
+def _untidy():
+    return explicit({V("a")}, {V("a"), V("b")}, {V("b"), V("c")})
+
+
+def test_verify_and_tidy_run_once_per_object(monkeypatch):
+    runs = _count_bodies(monkeypatch)
+    d = _untidy()
+    rep, td = verify(d), tidy(d)
+    assert verify(d) is rep and tidy(d) is td
+    assert runs == {"verify": 1, "tidy": 1}
+    assert tidy(td) is td and tidy(td) is td
+    assert runs == {"verify": 1, "tidy": 2}
+    # an equal object is a different object: its facts are its own
+    e = _untidy()
+    assert e == d and verify(e) == rep and tidy(e) == td
+    assert runs == {"verify": 2, "tidy": 3}
+    bad = explicit({V("a")}, {V("b")}, {V("a")})
+    assert verify(bad) is verify(bad) and not verify(bad).ok
+    assert runs["verify"] == 3
+
+
+def test_remembered_facts_are_invisible():
+    for make in (_untidy, lambda: band(zeta(), k=2)):
+        d, fresh = make(), make()
+        before = (hash(d), repr(d), emit_document(d))
+        verify(d), tidy(d)
+        assert (hash(d), repr(d), emit_document(d)) == before
+        assert d == fresh and hash(d) == hash(fresh)
+
+
+def test_replace_starts_with_no_facts(monkeypatch):
+    runs = _count_bodies(monkeypatch)
+    d = _untidy()
+    verify(d), tidy(d)
+    r = dataclasses.replace(d)
+    assert r == d and r is not d
+    verify(r), tidy(r)
+    assert runs == {"verify": 2, "tidy": 2}
+    z = dataclasses.replace(d, z1=bag_of("a"))
+    assert verify(z).ok and tidy(z).z1 == bag_of("a")
+    assert runs == {"verify": 3, "tidy": 3}
+
+
+@pytest.mark.parametrize("make", [_untidy, lambda: band(zeta(), k=2)],
+                         ids=["untidy", "tidy"])
+def test_decomposition_pickles_and_copies_after_verify_and_tidy(make):
+    d = make()
+    rep, td = verify(d), tidy(d)
+    for out in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)):
+        assert out == d and hash(out) == hash(d)
+        assert verify(out) == rep and tidy(out) == td
+        assert (tidy(out) is out) == (td is d)
+
+
+def test_a_tidy_decomposition_holds_no_reference_to_itself():
+    gc.disable()
+    try:
+        d = band(zeta(), k=2)
+        assert tidy(d) is d and verify(d).ok
+        ref = weakref.ref(d)
+        del d
+        assert ref() is None
+    finally:
+        gc.enable()

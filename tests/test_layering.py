@@ -190,3 +190,44 @@ def test_every_scope_refusal_has_an_input():
     assert len(sites) == len(messages)
     for m in messages:
         assert sum(bool(re.search(m, t)) for t in sites) == 1, m
+
+
+def _attribute_writes_and_fact_reads(path: Path) -> tuple[list[str], list[str]]:
+    """The `object.__setattr__` calls of a module outside a `__post_init__`,
+    and its reads of a decomposition's remembered facts (`._facts`)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    writes, reads = [], []
+
+    def visit(node, fn_name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn_name
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__setattr__"
+                    and getattr(child.func.value, "id", None) == "object"
+                    and fn_name != "__post_init__"):
+                writes.append(f"{path.name}:{child.lineno}: in {fn_name}")
+            if isinstance(child, ast.Attribute) and child.attr == "_facts":
+                reads.append(f"{path.name}:{child.lineno}")
+            visit(child, inner)
+
+    visit(tree, None)
+    return writes, reads
+
+
+def test_frozen_values_are_written_only_while_built():
+    """Verify and tidy results are remembered on the decomposition object,
+    which is sound only while no value of the package changes after its
+    construction: an attribute is set behind a frozen dataclass only in
+    its `__post_init__`, and the remembered facts are read in
+    decomposition.py alone."""
+    writes, reads = [], []
+    for f in sorted(SRC.glob("*.py")):
+        w, r = _attribute_writes_and_fact_reads(f)
+        writes += w
+        if f.name != "decomposition.py":
+            reads += r
+    assert not writes, "\n".join(writes)
+    assert not reads, "\n".join(reads)
+    _, own = _attribute_writes_and_fact_reads(SRC / "decomposition.py")
+    assert own, "the lint no longer sees the remembered facts"
