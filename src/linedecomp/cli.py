@@ -66,7 +66,7 @@ from .oracle import (
     vertex_text,
     witness_family,
 )
-from .prime import SubstitutionPlan, factor, splits_all_distinct
+from .prime import SubstitutionPlan, factor, is_prime
 from .splits import enumerate_min_splits, split_budget
 from .wo import to_wo
 
@@ -404,7 +404,7 @@ def _cmd_check(args) -> int:
     parts = [f"width {rep.width}"]
     if tidy(d) == d:
         parts.append("tidy")
-        if splits_all_distinct(d):
+        if is_prime(d):
             parts.append("prime")
     if is_well_order(d.line):
         parts.append("well-order")

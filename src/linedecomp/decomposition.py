@@ -214,13 +214,10 @@ def bag_at(d: Decomposition, t: Point) -> Bag:
 
 
 def full_vertices(d: Decomposition, j: int) -> Bag:
-    """Vertices present in every bag of segment j."""
+    """Vertices present in every bag of segment j, a periodic segment: every
+    caller asks at an open end of the line or beside a limit point, and only
+    an infinite segment has one."""
     t = d.templates[j]
-    if isinstance(t, ExplicitBags):
-        out = set(t.bags[0])
-        for b in t.bags[1:]:
-            out &= b
-        return frozenset(out)
     common = set(t.residues[0])
     for r in t.residues[1:]:
         common &= r
@@ -281,85 +278,56 @@ def _explicit_occurrences(d: Decomposition, vertices: set[VertexId]
     return occ
 
 
-def _occurrence_in_segment(d: Decomposition, j: int, v: VertexId, occ):
-    """Exact occurrence descriptor of a concrete vertex within one segment:
-    ('none',) | ('all',) | ('offsets', sorted offsets) | ('residues', frozenset).
-    Explicit segments are read from `occ`, built by `_explicit_occurrences`
-    over a set holding v.
-    """
-    t = d.templates[j]
+def _occurrence(d: Decomposition, j: int, v: VertexId, occ) -> Optional[tuple]:
+    """v's occurrence in segment j as (first, last, low, high, gap), or None
+    when no bag of the segment holds v.  gap is (r, s, t), offsets with v at
+    r and t but not at s, or None.  Without a gap v occupies one run of
+    offsets: first and last are its least and greatest offsets when they
+    exist and otherwise occupied offsets all the same, and low (high) says
+    that the run reaches the segment's lower (upper) end.  Explicit segments
+    are read from `occ`, built by `_explicit_occurrences` over a set holding
+    v.
+
+    A static or unshifted vertex is in bag i exactly when i mod period is one
+    of its residues.  Missing some residue, it shows a gap within any two
+    consecutive periods of the segment: it is at r0 and r0 + period for a
+    residue r0 it has, and not at the missing residue between them."""
+    seg, t = d.line.segments[j], d.templates[j]
     if isinstance(t, ExplicitBags):
-        offs = occ[j].get(v)
-        if not offs:
-            return ("none",)
-        if len(offs) == len(t.bags):
-            return ("all",)
-        return ("offsets", offs)
-    if v in t.constant:
-        return ("all",)
-    if v.is_static or t.stride == 0:
-        rs = frozenset(r for r in range(t.period) if v in t.residues[r])
-        if not rs:
-            return ("none",)
-        if len(rs) == t.period:
-            return ("all",)
-        return ("residues", rs)
-    seg = d.line.segments[j]
-    offs = tuple(o for o in t.offsets_of(v) if seg.contains_offset(o))
-    return ("offsets", offs) if offs else ("none",)
-
-
-def _gap_counterexample(j: int, offs: list[int]) -> tuple:
-    for a, b in zip(offs, offs[1:]):
-        if b > a + 1:
-            return (Point(j, a), Point(j, a + 1), Point(j, b))
-    raise AssertionError("no gap")
-
-
-def _residue_gap_example(d: Decomposition, j: int, v: VertexId, rs) -> tuple:
-    """Counterexample for a vertex occupying a proper subset of residues:
-    two occupied points one period apart with a missing residue in between."""
-    t = d.templates[j]
-    p = t.period
-    base = -3 * p if d.line.segments[j].kind is SegmentKind.OMEGA_STAR else 0
-    r0 = min(rs)
-    missing = min(set(range(p)) - rs)
-    gap = base + missing if missing > r0 else base + p + missing
-    return (v, Point(j, base + r0), Point(j, gap), Point(j, base + p + r0))
-
-
-def _point_where_absent(d: Decomposition, j: int, v: VertexId, occ) -> Point:
-    """Some point of segment j whose bag misses v.  Exists whenever the
-    occurrence descriptor is not 'all'."""
-    desc = _occurrence_in_segment(d, j, v, occ)
-    seg = d.line.segments[j]
-    if desc[0] == "none":
-        if seg.kind is SegmentKind.FIN:
-            return Point(j, 0)
-        return Point(j, seg.min_offset if seg.min_offset is not None else -1)
-    if desc[0] == "residues":
-        missing = min(set(range(d.templates[j].period)) - desc[1])
-        if seg.kind is SegmentKind.OMEGA_STAR:
-            return Point(j, missing - 3 * d.templates[j].period)
-        return Point(j, missing)
-    offs = desc[1]
-    if seg.kind is SegmentKind.FIN:
-        # offs is sorted and shorter than the segment: the first free offset
-        return Point(j, next((i for i, o in enumerate(offs) if i != o), len(offs)))
-    if seg.kind is SegmentKind.OMEGA_STAR:
-        return Point(j, min(offs) - 1)
-    return Point(j, max(offs) + 1)
+        offs = occ[j].get(v, ())
+    elif v in t.constant:
+        offs = None
+    elif v.is_static or t.stride == 0:
+        p = t.period
+        rs = {r for r in range(p) if v in t.residues[r]}
+        base = -2 * p if seg.kind is SegmentKind.OMEGA_STAR else 0
+        offs = None if len(rs) == p else [
+            o for o in range(base, base + 2 * p) if o % p in rs]
+    else:
+        offs = [o for o in t.offsets_of(v) if seg.contains_offset(o)]
+    if offs is None:  # every bag of the segment
+        first = -1 if seg.kind is SegmentKind.OMEGA_STAR else 0
+        last = first if seg.max_offset is None else seg.max_offset
+        return (first, last, True, True, None)
+    if not offs:
+        return None
+    gap = next(((a, a + 1, b) for a, b in zip(offs, offs[1:]) if b > a + 1), None)
+    return (offs[0], offs[-1], offs[0] == seg.min_offset,
+            offs[-1] == seg.max_offset, gap)
 
 
 def _solve_shared(s1: int, m1: int, r1, s2: int, m2: int, r2,
                   count: int) -> list[int]:
     """Common indices of the progressions {m1 + s1*b : b in r1} and
-    {m2 + s2*b : b in r2}.  Ranges are (lo, hi) with None for unbounded.
-    Returns the list of common indices, empty when there are none;
-    unbounded or oversized families are represented by `count` witnesses
-    from each end, which is enough for violation detection because only
-    boundary-pinned members can ever satisfy betweenness.  The caller sizes
-    `count` from the mobile indices the tag has in both templates."""
+    {m2 + s2*b : b in r2}, for nonzero strides s1 and s2.  Ranges are (lo,
+    hi) with None for unbounded.  Returns the list of common indices, empty
+    when there are none; unbounded or oversized families are represented by
+    `count` witnesses from each end, which is enough for violation detection
+    because only boundary-pinned members can ever satisfy betweenness.  The
+    caller sizes `count` from the mobile indices the tag has in both
+    templates.  The common blocks are b1 + c1*t and b2 + c2*t over integers
+    t, with c1 = s2/g and c2 = s1/g for g = gcd(s1, s2): both coefficients
+    are nonzero, so each bound on a block bounds t."""
     g = math.gcd(s1, s2)
     D = m2 - m1
     if D % g:
@@ -370,14 +338,8 @@ def _solve_shared(s1: int, m1: int, r1, s2: int, m2: int, r2,
     c1, c2 = s2 // g, s1 // g  # b1 + c1*t, b2 + c2*t
     b2 = y0 * (D // g)
     t_lo, t_hi = None, None
-    empty = False
 
     def tighten(lo, hi, base, coeff, blo, bhi):
-        nonlocal empty
-        if coeff == 0:
-            if (blo is not None and base < blo) or (bhi is not None and base > bhi):
-                empty = True
-            return lo, hi
         for bound, is_lower in ((blo, True), (bhi, False)):
             if bound is None:
                 continue
@@ -391,7 +353,7 @@ def _solve_shared(s1: int, m1: int, r1, s2: int, m2: int, r2,
 
     t_lo, t_hi = tighten(t_lo, t_hi, b1, c1, r1[0], r1[1])
     t_lo, t_hi = tighten(t_lo, t_hi, b2, c2, r2[0], r2[1])
-    if empty or (t_lo is not None and t_hi is not None and t_lo > t_hi):
+    if t_lo is not None and t_hi is not None and t_lo > t_hi:
         return []
     if t_lo is None and t_hi is None:
         ts = range(0, count)
@@ -440,10 +402,10 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
 
     An explicit vertex is settled, and not a candidate, when it occurs in
     one explicit segment only, without a gap, and no periodic template holds
-    a vertex of its tag.  `_occurrence_in_segment` sees a vertex in a
-    periodic segment only through vertices of its tag, so a settled vertex
-    occupies one segment: nothing pins it to an end, its offsets are
-    contiguous, and `_check_candidate` returns None for it.
+    a vertex of its tag.  `_occurrence` sees a vertex in a periodic segment
+    only through vertices of its tag, so a settled vertex occupies one
+    segment: nothing pins it to an end, its offsets are contiguous, and
+    `_check_candidate` returns None for it.
     """
     candidates: set[VertexId] = set()
 
@@ -526,74 +488,27 @@ def _expose_shift(kind: SegmentKind, t: PeriodicBags, pattern, v: VertexId) -> i
 
 
 def _check_candidate(d: Decomposition, v: VertexId, occ) -> Optional[tuple]:
-    descs = [_occurrence_in_segment(d, j, v, occ) for j in range(len(d.line.segments))]
-    occupied = [j for j, desc in enumerate(descs) if desc[0] != "none"]
-    if not occupied:
-        return None
-    j_lo, j_hi = occupied[0], occupied[-1]
-    for j in range(j_lo + 1, j_hi):
-        if descs[j][0] != "all":
-            r = _last_point_occupied(d, j_lo, descs[j_lo])
-            t = _first_point_occupied(d, j_hi, descs[j_hi])
-            return (v, r, _point_where_absent(d, j, v, occ), t)
-    for j in occupied:
-        bad = _segment_interval_violation(d, j, v, descs[j], j < j_hi, j > j_lo, occ)
-        if bad is not None:
-            return bad
+    """(v, r, s, t) when v's bags are not an interval of the line, else None.
+    A gap inside a segment is its own witness.  Otherwise v occupies one run
+    of each segment it meets, and consecutive segments j1 < j2 that it meets
+    must join up: no segment lies between them, the run in j1 reaches its
+    upper end and the run in j2 its lower end."""
+    found = [(j, rec) for j in range(len(d.line.segments))
+             for rec in [_occurrence(d, j, v, occ)] if rec is not None]
+    for j, (_, _, _, _, gap) in found:
+        if gap is not None:
+            return (v,) + tuple(Point(j, o) for o in gap)
+    for (j1, (_, last, _, high, _)), (j2, (first, _, low, _, _)) in zip(found, found[1:]):
+        r, t = Point(j1, last), Point(j2, first)
+        if j2 > j1 + 1:
+            between = d.line.segments[j1 + 1]
+            return (v, r, Point(j1 + 1, -1 if between.kind is SegmentKind.OMEGA_STAR
+                                else 0), t)
+        if not high:
+            return (v, r, Point(j1, last + 1), t)
+        if not low:
+            return (v, r, Point(j2, first - 1), t)
     return None
-
-
-def _last_point_occupied(d, j, desc) -> Point:
-    seg = d.line.segments[j]
-    if desc[0] == "offsets":
-        return Point(j, desc[1][-1])
-    return Point(j, seg.max_offset if seg.max_offset is not None else 0)
-
-
-def _first_point_occupied(d, j, desc) -> Point:
-    seg = d.line.segments[j]
-    if desc[0] == "offsets":
-        return Point(j, desc[1][0])
-    return Point(j, seg.min_offset if seg.min_offset is not None else 0)
-
-
-def _segment_interval_violation(d, j, v, desc, need_final, need_initial, occ):
-    """Check one vertex's occurrence within one segment: an interval, pinned
-    to the top when the vertex continues rightward, to the bottom when it
-    continues leftward."""
-    seg = d.line.segments[j]
-    if desc[0] == "all":
-        return None
-    if desc[0] == "residues":
-        return _residue_gap_example(d, j, v, desc[1])
-    offs = desc[1]
-    if len(offs) > 1 and offs[-1] - offs[0] + 1 != len(offs):
-        return (v,) + _gap_counterexample(j, offs)
-    if need_final:
-        if seg.max_offset is None or offs[-1] != seg.max_offset:
-            t = _next_occurrence_point(d, j, v, occ)
-            return (v, Point(j, offs[-1]), Point(j, offs[-1] + 1), t)
-    if need_initial:
-        if seg.min_offset is None or offs[0] != seg.min_offset:
-            r = _prev_occurrence_point(d, j, v, occ)
-            return (v, r, Point(j, offs[0] - 1), Point(j, offs[0]))
-    return None
-
-
-def _next_occurrence_point(d, j, v, occ) -> Point:
-    for j2 in range(j + 1, len(d.line.segments)):
-        desc = _occurrence_in_segment(d, j2, v, occ)
-        if desc[0] != "none":
-            return _first_point_occupied(d, j2, desc)
-    raise AssertionError("caller guarantees a later occurrence")
-
-
-def _prev_occurrence_point(d, j, v, occ) -> Point:
-    for j2 in range(j - 1, -1, -1):
-        desc = _occurrence_in_segment(d, j2, v, occ)
-        if desc[0] != "none":
-            return _last_point_occupied(d, j2, desc)
-    raise AssertionError("caller guarantees an earlier occurrence")
 
 
 def limit_vertices(d: Decomposition, side: Side) -> Bag:
@@ -611,9 +526,11 @@ def limit_vertices(d: Decomposition, side: Side) -> Bag:
 
 @_remembered
 def verify(d: Decomposition) -> VerificationReport:
-    """Check betweenness and the designated limit vertices; a betweenness
-    counterexample names the least failing vertex among the candidates
-    checked.  Finite segments cost one set sweep each, O(B) over the B
+    """Check betweenness and the designated limit vertices.  A betweenness
+    counterexample (v, r, s, t) names the least failing vertex v among the
+    candidates checked (one vertex stands for each shifted orbit) and three
+    points r < s < t of the line with v in the bags at r and t but not in
+    the bag at s.  Finite segments cost one set sweep each, O(B) over the B
     vertex slots of their bags.  Per-vertex checks, one lookup per segment,
     run only for gapped vertices, vertices of two explicit segments and
     vertices whose tag a periodic template holds; every other vertex is
@@ -696,16 +613,6 @@ def reverse_decomposition(d: Decomposition) -> Decomposition:
             res = tuple(shift_set(t.residues[p - 1 - r], -t.stride) for r in range(p))
             temps.append(PeriodicBags(p, res, -t.stride, t.constant))
     return Decomposition(reverse_line(d.line), tuple(temps), d.z2, d.z1)
-
-
-def shift_decomposition(d: Decomposition, delta: int) -> Decomposition:
-    def sh(t):
-        if isinstance(t, ExplicitBags):
-            return ExplicitBags(tuple(shift_set(b, delta) for b in t.bags))
-        return PeriodicBags(t.period, tuple(shift_set(r, delta) for r in t.residues),
-                            t.stride, shift_set(t.constant, delta))
-    return Decomposition(d.line, tuple(sh(t) for t in d.templates),
-                         shift_set(d.z1, delta), shift_set(d.z2, delta))
 
 
 def add_to_bags(d: Decomposition, s: Bag) -> Decomposition:

@@ -107,9 +107,6 @@ class Line:
     def of(*segments: Segment) -> "Line":
         return Line(tuple(segments))
 
-    def __len__(self) -> int:
-        return len(self.segments)
-
 
 @dataclass(frozen=True)
 class Point:

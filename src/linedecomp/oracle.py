@@ -149,14 +149,17 @@ def graph_from_edge_list(text: str) -> FiniteGraph:
 # Memory: 2^n entries of dp (a list of small ints) and of nbr (an array of
 # 64-bit masks), 16 bytes a subset or 16 MiB at the cap of 20 vertices.
 
+_PATHWIDTH_CAP = 20
 
-def pathwidth_exact(g: FiniteGraph, cap: int = 20) -> tuple[int, Decomposition]:
+
+def pathwidth_exact(g: FiniteGraph) -> tuple[int, Decomposition]:
     verts = sorted(g.vertices)
     n = len(verts)
     if n == 0:
         raise ValueError("path-width of the empty graph is undefined here")
-    if n > cap:
-        raise ValueError(f"graph has {n} vertices, exact search capped at {cap}")
+    if n > _PATHWIDTH_CAP:
+        raise ValueError(
+            f"graph has {n} vertices, exact search capped at {_PATHWIDTH_CAP}")
     index = {v: i for i, v in enumerate(verts)}
     adj = [0] * n
     for e in g.edges:
@@ -345,8 +348,11 @@ class ProbeReport:
     ok: bool
 
 
+_PROBE_VERTICES = 9  # vertices of a sampled subgraph, at most
+
+
 def compactness_probe(d: Decomposition, samples: int, *, window: int = 4,
-                      max_vertices: int = 9, seed: int = 0) -> ProbeReport:
+                      seed: int = 0) -> ProbeReport:
     """Sample finite subgraphs of a materialization and confirm each has
     path-width at most the decomposition's width."""
     if samples < 0:
@@ -363,14 +369,14 @@ def compactness_probe(d: Decomposition, samples: int, *, window: int = 4,
             start = rng.randrange(len(bags))
             chosen: set[VertexId] = set()
             j = start
-            while j < len(bags) and len(chosen | bags[j]) <= max_vertices:
+            while j < len(bags) and len(chosen | bags[j]) <= _PROBE_VERTICES:
                 chosen |= bags[j]
                 j += 1
             if not chosen:
-                chosen = set(itertools.islice(sorted(bags[start]), max_vertices))
+                chosen = set(itertools.islice(sorted(bags[start]), _PROBE_VERTICES))
             sub = g.induced(chosen)
         else:
-            size = rng.randint(1, min(max_vertices, len(verts)))
+            size = rng.randint(1, min(_PROBE_VERTICES, len(verts)))
             sub = g.induced(rng.sample(verts, size))
         if not sub.vertices:
             continue

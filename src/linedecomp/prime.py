@@ -49,20 +49,13 @@ from linedecomp.wo import raw_concat
 
 
 def is_prime(d: Decomposition) -> bool:
-    """Tidy, connected, and no split occurs at two different cuts."""
+    """Tidy, connected, and no split occurs at two different cuts.  On a
+    finite line the split window holds every cut and there are no infinite
+    reaches; beyond the window the split families decide repeats exactly."""
     if not verify(d).ok:
         raise ValueError("primality is only defined for valid decompositions")
     if tidy(d) != d:
         return False
-    return splits_all_distinct(d)
-
-
-def splits_all_distinct(d: Decomposition) -> bool:
-    """No split is empty and none occurs at two cuts: `is_prime` without its
-    checks.  Precondition: d verifies and is tidy (the caller has checked
-    both).  On a finite line the split window holds every cut and there are
-    no infinite reaches; beyond the window the split families decide
-    repeats exactly."""
     sa = analyze_splits(d)
     if not all(sa.window_splits):
         return False  # an empty split: the graph is disconnected

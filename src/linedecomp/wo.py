@@ -235,6 +235,14 @@ def _around_split(d: Decomposition, s: Bag, b: SplitBounds) -> Decomposition:
     s.  A bound that is not a cut means the witnesses run off that end of
     the line, in which case the slice absorbs everything below (above) and
     s is the limit set there, which holds the designated vertices.
+
+    Removing s leaves a bag when the bounds differ.  d is tidy (`_plan`
+    reads the analysis of `tidy`'s output) and s is in every bag of the
+    slice, so a slice of bags equal to s has one bag, as tidy bags are
+    distinct.  The slice then is not all of d, which has a cut, so that bag
+    meets a bound that is a cut with split s: it lies inside the bag across
+    that cut, or inside the full set of an open segment there, and tidy
+    keeps no such bag.
     """
     lower = b.lower if isinstance(b.lower, Cut) else None
     upper = b.upper if isinstance(b.upper, Cut) else None
@@ -242,8 +250,6 @@ def _around_split(d: Decomposition, s: Bag, b: SplitBounds) -> Decomposition:
             and compare_cuts(d.line, lower, upper) is Ordering.EQ:
         return _single_bag(s)
     core = remove_from_bags(slice_between(d, lower, upper), s)
-    if core is None:
-        return _single_bag(s)
     piece = add_to_bags(_rebuild(core), s)
     return replace(piece, z1=s, z2=s)
 
@@ -273,11 +279,14 @@ def _split_off_lower_part(a: SplitAnalysis, idx: MinSplitIndexing) -> list[_Piec
 
 
 def _reversed_lower_part(d: Decomposition, c0: Cut, s0: Bag) -> Decomposition:
-    """The part of d up to c0, rebuilt in reverse and running from s0 to s0."""
-    lower_part = slice_between(d, None, c0)
-    core = remove_from_bags(lower_part, d.z1)
-    if core is None:
-        return _single_bag(s0)
+    """The part of d up to c0, rebuilt in reverse and running from s0 to s0.
+
+    Removing z1 leaves a bag.  d is tidy, and z1 lies in s0, the split at
+    c0.  Below a greatest point, a bag inside z1 would be s0 itself and lie
+    inside the bag after it; below a limit cut, the open segment there would
+    have infinitely many distinct bags inside the finite z1.
+    """
+    core = remove_from_bags(slice_between(d, None, c0), d.z1)
     rebuilt = _rebuild(reverse_decomposition(core))
     return replace(add_to_bags(rebuilt, s0), z1=s0, z2=s0)
 

@@ -210,7 +210,7 @@ def full_radius_analysis(d: Decomposition) -> SplitAnalysis:
 # its callers: every marching family tested against every window split with
 # SplitFamily.meets.  The library probes an index of the window instead;
 # the tests check that both find the same meetings and that min_splits and
-# splits_all_distinct decide the same either way.
+# is_prime decide the same either way.
 
 
 def window_meetings_by_scan(sa, families):
@@ -480,6 +480,37 @@ def _random_periodic(rng):
     if rng.random() < 0.3:
         z1 = frozenset(rng.sample([V("p"), V("q")], rng.randint(1, 2)))
     return Decomposition(Line(tuple(segs)), tuple(temps), z1, frozenset())
+
+
+_MIXED_POOL = [V(tag) for tag in "abc"] + [V("m", i) for i in range(-6, 6)]
+
+
+def _random_mixed(rng):
+    """An arbitrary decomposition, most often not a valid one: 1-4 segments,
+    each fin (1-4 bags), omega, omega* or zeta; periodic templates of period
+    1-3 with stride 0, +-1, 2 or +-period; bags, residues and the optional
+    constant and designations drawn from 3 statics and 12 mobiles, residues
+    of 0-3 vertices."""
+    segs, temps = [], []
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice([fin, omega, omega_star, zeta])
+        if kind is fin:
+            n = rng.randint(1, 4)
+            segs.append(fin(n))
+            temps.append(ExplicitBags(tuple(
+                frozenset(rng.sample(_MIXED_POOL, rng.randint(1, 3)))
+                for _ in range(n))))
+            continue
+        p = rng.randint(1, 3)
+        const = frozenset(rng.sample(_MIXED_POOL, rng.randint(1, 2))
+                          if rng.random() < 0.3 else ())
+        res = tuple(frozenset(rng.sample(_MIXED_POOL, rng.randint(0 if const else 1, 3)))
+                    for _ in range(p))
+        segs.append(kind())
+        temps.append(PeriodicBags(p, res, rng.choice([0, 1, -1, 2, p, -p]), const))
+    z1, z2 = (frozenset(rng.sample(_MIXED_POOL, 1) if rng.random() < 0.2 else ())
+              for _ in range(2))
+    return Decomposition(Line(tuple(segs)), tuple(temps), z1, z2)
 
 
 @pytest.fixture(scope="module")

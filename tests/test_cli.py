@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,8 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linedecomp.cli
-import linedecomp.prime
-import linedecomp.wo
 from linedecomp.cli import (
     DocumentError,
     emit_document,
@@ -34,6 +33,8 @@ from linedecomp.decomposition import (
 )
 from linedecomp.line import (
     Line,
+    Point,
+    check_point,
     fin,
     omega,
     omega_star,
@@ -42,6 +43,8 @@ from linedecomp.line import (
 from linedecomp.oracle import witness_family
 from linedecomp.prime import factor
 from linedecomp.wo import to_wo
+
+from test_decomposition import _count_bodies
 
 
 def explicit(*bags, z1=frozenset(), z2=frozenset()):
@@ -332,21 +335,13 @@ def test_check_reports_a_wide_band_prime(tmp_path, capsys):
 
 
 def test_check_verifies_and_tidies_once(tmp_path, capsys, monkeypatch):
-    calls = {"verify": 0, "tidy": 0}
-
-    def counting(name, fn):
-        def wrapper(d):
-            calls[name] += 1
-            return fn(d)
-        return wrapper
-
-    for module in (linedecomp.cli, linedecomp.prime, linedecomp.wo):
-        for name in calls:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    # runs of the verify and tidy bodies: a repeated call on the same
+    # object is a lookup and runs neither
+    runs = _count_bodies(monkeypatch)
     path = save(tmp_path, emit_document(witness_family(4)))
     code, out, _ = run(capsys, "check", path)
     assert (code, out) == (0, "width 4, tidy, prime\n")
-    assert calls == {"verify": 1, "tidy": 1}
+    assert runs == {"verify": 1, "tidy": 1}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -366,6 +361,19 @@ def test_check_reports_a_tidy_chain_that_is_not_prime(tmp_path, capsys):
         bag_of("a", "b"), bag_of("b", "c"), bag_of("b", "d"))),))
     path = save(tmp_path, emit_document(d))
     assert run(capsys, "check", path) == (0, "width 1, tidy, well-order\n", "")
+
+
+def test_check_prints_points_of_the_line(tmp_path, capsys):
+    # a's last occurrence is the whole omega*, which has no offset 0
+    d = Decomposition(Line.of(fin(1), fin(1), omega_star()), (
+        ExplicitBags((bag_of("a"),)), ExplicitBags((bag_of("b"),)),
+        PeriodicBags(1, (bag_of("a"),), 0)))
+    code, out, _ = run(capsys, "check", save(tmp_path, emit_document(d)))
+    assert code == 1 and out.startswith("betweenness violated: a occurs at ")
+    points = [Point(int(j), int(i)) for j, i in re.findall(r"(\d+)@(-?\d+)", out)]
+    assert len(points) == 3
+    for p in points:
+        check_point(d.line, p)
 
 
 def test_tidy_command_canonicalizes(tmp_path, capsys):

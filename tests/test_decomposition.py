@@ -53,7 +53,6 @@ from linedecomp.decomposition import (
     limit_vertices,
     remove_from_bags,
     reverse_decomposition,
-    shift_decomposition,
     shift_set,
     slice_between,
     tidy,
@@ -66,6 +65,7 @@ from linedecomp.oracle import materialize, random_decomposition
 from conftest import (
     CountingBags,
     CountingPeriodicBags,
+    _random_mixed,
     _random_periodic,
     counting,
     oracle_split,
@@ -1055,8 +1055,67 @@ def test_slice_between_matches_point_oracle(seed, finite):
                 slice_between(d, lo, hi)
 
 
+def intervals_ok(bags):
+    """Every vertex occupies consecutive bags: the interval check, one pass
+    over the occurrences."""
+    offs = {}
+    for i, b in enumerate(bags):
+        for v in b:
+            offs.setdefault(v, []).append(i)
+    return all(o[-1] - o[0] + 1 == len(o) for o in offs.values())
+
+
+def test_verify_names_sound_witnesses_on_arbitrary_inputs():
+    # where no template shifts, a window two periods past every end shows
+    # every gap, so the interval check on it decides betweenness
+    rng = random.Random(2028)
+    unshifted = 0
+    for _ in range(3000):
+        d = _random_mixed(rng)
+        rep = verify(d)
+        if not rep.betweenness_ok:
+            assert_counterexample_sound(d, rep)
+        periodic = [t for t in d.templates if isinstance(t, PeriodicBags)]
+        if all(t.stride == 0 for t in periodic):
+            fd, _ = materialize(d, 2 * max((t.period for t in periodic), default=1) + 2)
+            bags = [b for t in fd.templates for b in t.bags]
+            assert rep.betweenness_ok == intervals_ok(bags)
+            unshifted += 1
+    assert unshifted > 300
+
+
+def _unshifted(p, *residues):
+    return PeriodicBags(p, tuple(bag_of(*r) for r in residues), 0)
+
+
+@pytest.mark.parametrize("d, v", [
+    # v's last occurrence is the whole omega*, which has no offset 0
+    (Decomposition(Line.of(fin(1), fin(1), omega_star()), (
+        ExplicitBags((bag_of("a"),)), ExplicitBags((bag_of("b"),)),
+        _unshifted(1, "a"))), V("a")),
+    # a misses every other bag of the periodic segment, b none of them
+    (Decomposition(Line.of(zeta(), fin(1), fin(1)), (
+        _unshifted(2, "b", "ab"), ExplicitBags((bag_of("b"),)),
+        ExplicitBags((bag_of("a"),)))), V("a")),
+    (Decomposition(Line.of(omega(), fin(1), fin(1)), (
+        _unshifted(2, "b", "ab"), ExplicitBags((bag_of("b"),)),
+        ExplicitBags((bag_of("a"),)))), V("a")),
+    (Decomposition(Line.of(fin(1), zeta(), fin(1)), (
+        ExplicitBags((bag_of("a"),)), _unshifted(2, "ab", "b"),
+        ExplicitBags((bag_of("a"),)))), V("a")),
+    # a_0 .. a_99 occur on both rays: a window of solutions from each end
+    (Decomposition(Line.of(omega_star(), omega()), (
+        PeriodicBags(1, (bag_of(("a", 100)),), 1),
+        PeriodicBags(1, (bag_of(("a", 0)),), 1))), V("a", 0)),
+], ids=["omega*-end", "zeta-residue", "omega-residue", "residue-gap", "two-rays"])
+def test_verify_names_a_sound_witness(d, v):
+    rep = verify(d)
+    assert rep.counterexample[0] == v
+    assert_counterexample_sound(d, rep)
+
+
 # ---------------------------------------------------------------------------
-# Reversal, shifting, bag edits
+# Reversal and bag edits
 
 
 def test_reverse_is_involutive():
@@ -1081,13 +1140,6 @@ def test_reverse_swaps_boundaries():
     assert verify(rd).ok
 
 
-def test_shift_moves_mobiles_only():
-    d = band(zeta(), constant=bag_of("a"))
-    sd = shift_decomposition(d, 5)
-    assert bag_at(sd, Point(0, 0)) == bag_of("a", ("v", 5), ("v", 6))
-    assert verify(sd).ok
-
-
 def test_add_then_remove_roundtrip():
     d = band(zeta())
     s = bag_of("x", "y")
@@ -1105,6 +1157,12 @@ def test_remove_drops_emptied_points():
     out = remove_from_bags(d, bag_of("a"))
     assert window_bags(out, 0) == [bag_of("b"), bag_of("b")]
     assert remove_from_bags(d, bag_of("a", "b")) is None
+
+
+def test_remove_drops_an_emptied_periodic_segment():
+    d = Decomposition(Line.of(fin(1), omega()), (
+        ExplicitBags((bag_of("x", "y"),)), _unshifted(1, "x")))
+    assert remove_from_bags(d, bag_of("x")) == explicit({V("y")})
 
 
 def test_remove_riding_vertex_unsupported():

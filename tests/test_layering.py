@@ -90,6 +90,32 @@ def test_every_public_name_has_a_caller():
     assert not unused, "\n".join(unused)
 
 
+def _unread_private_names(path: Path) -> list[str]:
+    """Private top-level defs, classes and assigned names of a module that
+    the module never reads.  No other module may import them, so they are
+    dead code."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        defined[n.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line}: {name}" for name, line in sorted(defined.items())
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_every_private_name_is_read_in_its_module():
+    bad = [hit for f in sorted(SRC.glob("*.py")) for hit in _unread_private_names(f)]
+    assert not bad, "\n".join(bad)
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Top-level imports of a module that it neither uses nor lists in
     its __all__."""

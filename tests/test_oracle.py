@@ -130,7 +130,7 @@ def test_pathwidth_matches_the_push_dp(g):
 
 def test_pathwidth_cap_and_empty():
     with pytest.raises(ValueError):
-        pathwidth_exact(path_graph(4), cap=3)
+        pathwidth_exact(path_graph(21))
     with pytest.raises(ValueError):
         pathwidth_exact(FiniteGraph(frozenset(), frozenset()))
 

@@ -42,7 +42,7 @@ from linedecomp.decomposition import (
 )
 from linedecomp.cli import emit_document
 from linedecomp.oracle import brute_splits, random_decomposition, witness_family
-from linedecomp.prime import is_prime, splits_all_distinct
+from linedecomp.prime import is_prime
 from linedecomp.splits import (
     _maximal,
     Split,
@@ -638,7 +638,7 @@ def test_min_splits_and_distinctness_decide_as_the_pair_scan(random_corpus, monk
 
     def decide():
         return ([_decided(enumerate_min_splits, d) for d in corpus],
-                [_decided(splits_all_distinct, d) for d in tidy_valid])
+                [_decided(is_prime, d) for d in tidy_valid])
 
     by_index = decide()
     monkeypatch.setattr(SplitAnalysis, "window_meetings", window_meetings_by_scan)
