@@ -282,11 +282,10 @@ def _occurrence(d: Decomposition, j: int, v: VertexId, occ) -> Optional[tuple]:
     """v's occurrence in segment j as (first, last, low, high, gap), or None
     when no bag of the segment holds v.  gap is (r, s, t), offsets with v at
     r and t but not at s, or None.  Without a gap v occupies one run of
-    offsets: first and last are its least and greatest offsets when they
-    exist and otherwise occupied offsets all the same, and low (high) says
-    that the run reaches the segment's lower (upper) end.  Explicit segments
-    are read from `occ`, built by `_explicit_occurrences` over a set holding
-    v.
+    offsets: first and last are occupied offsets, the least and the
+    greatest where the run has them, and low (high) says that the run
+    reaches the segment's lower (upper) end.  Explicit segments are read
+    from `occ`, built by `_explicit_occurrences` over a set holding v.
 
     A static or unshifted vertex is in bag i exactly when i mod period is one
     of its residues.  Missing some residue, it shows a gap within any two
