@@ -256,14 +256,6 @@ class VerificationReport:
         return self.betweenness_ok and self.boundary_ok
 
 
-def _block_range(kind: SegmentKind) -> tuple[Optional[int], Optional[int]]:
-    if kind is SegmentKind.OMEGA:
-        return (0, None)
-    if kind is SegmentKind.OMEGA_STAR:
-        return (None, -1)
-    return (None, None)
-
-
 def _explicit_occurrences(d: Decomposition, vertices: set[VertexId]
                           ) -> dict[int, dict[VertexId, list[int]]]:
     """For each explicit segment j: each of `vertices` in its bags mapped to
@@ -315,74 +307,44 @@ def _occurrence(d: Decomposition, j: int, v: VertexId, occ) -> Optional[tuple]:
             offs[-1] == seg.max_offset, gap)
 
 
-def _solve_shared(s1: int, m1: int, r1, s2: int, m2: int, r2,
-                  count: int) -> list[int]:
-    """Common indices of the progressions {m1 + s1*b : b in r1} and
-    {m2 + s2*b : b in r2}, for nonzero strides s1 and s2.  Ranges are (lo,
-    hi) with None for unbounded.  Returns the list of common indices, empty
-    when there are none; unbounded or oversized families are represented by
-    `count` witnesses from each end, which is enough for violation detection
-    because only boundary-pinned members can ever satisfy betweenness.  The
-    caller sizes `count` from the mobile indices the tag has in both
-    templates.  The common blocks are b1 + c1*t and b2 + c2*t over integers
-    t, with c1 = s2/g and c2 = s1/g for g = gcd(s1, s2): both coefficients
-    are nonzero, so each bound on a block bounds t."""
+def common_indices(s1: int, m1: int, r1: tuple[Optional[int], Optional[int]],
+                   s2: int, m2: int, r2: tuple[Optional[int], Optional[int]],
+                   count: int) -> list[int]:
+    """Where the progressions {m1 + s1*b : b in r1} and {m2 + s2*b : b in r2}
+    meet, for nonzero strides s1 and s2 and block ranges (lo, hi), None for
+    an open end.  A common index exists iff g = gcd(s1, s2) divides m2 - m1;
+    then m1 + s1*b0 is one, b0 = (m2 - m1)/g * (s1/g)^-1 mod |s2|/g, and
+    they step by lcm(|s1|, |s2|).  Each bounded end of a range bounds them on
+    one side.  Returns, in increasing order, `count` of them from each
+    bounded end, or all of them when at most 2 * count lie between two
+    bounded ends; when no range bounds them, `count` upward from the least
+    one >= m1."""
     g = math.gcd(s1, s2)
-    D = m2 - m1
-    if D % g:
+    if (m2 - m1) % g:
         return []
-    # one solution of s1*x - s2*y = g, scaled
-    x0, y0 = _ext_gcd_pair(s1, s2)
-    b1 = x0 * (D // g)
-    c1, c2 = s2 // g, s1 // g  # b1 + c1*t, b2 + c2*t
-    b2 = y0 * (D // g)
-    t_lo, t_hi = None, None
-
-    def tighten(lo, hi, base, coeff, blo, bhi):
-        for bound, is_lower in ((blo, True), (bhi, False)):
-            if bound is None:
-                continue
-            if is_lower == (coeff > 0):
-                val = -((-(bound - base)) // coeff)  # exact integer ceil
-                lo = val if lo is None else max(lo, val)
-            else:
-                val = (bound - base) // coeff
-                hi = val if hi is None else min(hi, val)
-        return lo, hi
-
-    t_lo, t_hi = tighten(t_lo, t_hi, b1, c1, r1[0], r1[1])
-    t_lo, t_hi = tighten(t_lo, t_hi, b2, c2, r2[0], r2[1])
-    if t_lo is not None and t_hi is not None and t_lo > t_hi:
-        return []
-    if t_lo is None and t_hi is None:
-        ts = range(0, count)
-    elif t_hi is None:
-        ts = range(t_lo, t_lo + count)
-    elif t_lo is None:
-        ts = range(t_hi, t_hi - count, -1)
-    else:
-        if t_hi - t_lo + 1 <= 2 * count:
-            ts = range(t_lo, t_hi + 1)
-        else:
-            ts = list(range(t_lo, t_lo + count)) + list(range(t_hi - count + 1, t_hi + 1))
-        return sorted({m1 + s1 * (b1 + c1 * t) for t in ts})
-    return [m1 + s1 * (b1 + c1 * t) for t in ts]
-
-
-def _ext_gcd_pair(s1: int, s2: int) -> tuple[int, int]:
-    """x, y with s1*x - s2*y = gcd(s1, s2)."""
-    a, b = s1, -s2
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_x, old_y = -old_x, -old_y
-    return old_x, old_y
+    n = abs(s2) // g
+    x = m1 + s1 * ((m2 - m1) // g * pow(s1 // g, -1, n) % n)
+    step = abs(s1) * n
+    lows, highs = [], []
+    for s, m, (b_lo, b_hi) in ((s1, m1, r1), (s2, m2, r2)):
+        for b, below in ((b_lo, s > 0), (b_hi, s < 0)):
+            if b is not None:
+                (lows if below else highs).append(m + s * b)
+    if not lows and not highs:
+        lows = [m1]
+    low = max(lows) + (x - max(lows)) % step if lows else None
+    high = min(highs) - (min(highs) - x) % step if highs else None
+    if low is not None and high is not None:
+        if low > high:
+            return []
+        if high - low < 2 * count * step:
+            return list(range(low, high + 1, step))
+    out = []
+    if low is not None:
+        out += range(low, low + count * step, step)
+    if high is not None:
+        out += range(high - (count - 1) * step, high + 1, step)
+    return out
 
 
 def _mobile_tag_indices(t: PeriodicBags) -> dict[str, set[int]]:
@@ -413,7 +375,7 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
     #    offsets plus k*period), so one representative per (tag, index mod
     #    |stride|) stands for the orbit, slid until its whole pattern is
     #    admissible and it avoids the finitely many constant vertices
-    for j, (seg, t) in enumerate(zip(d.line.segments, d.templates)):
+    for seg, t in zip(d.line.segments, d.templates):
         if isinstance(t, PeriodicBags) and t.stride != 0:
             reps = {VertexId(w.tag, w.index % abs(t.stride))
                     for res in t.residues for w in res if w.is_mobile}
@@ -423,20 +385,25 @@ def _betweenness_counterexample(d: Decomposition) -> Optional[tuple]:
                     k = _expose_shift(seg.kind, t, pattern, v)
                     candidates.add(v.shift(t.stride * k))
 
-    # 2) vertices shared between two shifted periodic templates.  At most one
-    #    vertex per solution family can have its earlier occurrence pinned to
-    #    the segment top, so a handful of consecutive witnesses is enough for
-    #    the per-vertex check below to catch any violation.
-    periodic = [(j, t) for j, t in enumerate(d.templates)
+    # 2) vertices shared between two shifted periodic templates j1 < j2: for
+    #    residue indices m1 of j1 and m2 of j2 of one tag, a progression of
+    #    common indices.  A member passes only if its run in j1 reaches the
+    #    segment's upper end and its run in j2 the lower end: it is in both
+    #    constants, or in j1's bag at offset -1 (an omega*) as m1' - stride
+    #    for a residue index m1', or in j2's bag at offset 0 (an omega) as a
+    #    residue index.  So fewer than `need` members pass, and `need` of
+    #    them from a bounded end, upward from m1 when nothing bounds them, or
+    #    all of them between two bounded ends hold a failing one if any fails.
+    periodic = [(t, (seg.min_offset, seg.max_offset))
+                for seg, t in zip(d.line.segments, d.templates)
                 if isinstance(t, PeriodicBags) and t.stride != 0]
-    for (j1, t1), (j2, t2) in itertools.combinations(periodic, 2):
-        k1, k2 = d.line.segments[j1].kind, d.line.segments[j2].kind
+    for (t1, r1), (t2, r2) in itertools.combinations(periodic, 2):
         idx1, idx2 = _mobile_tag_indices(t1), _mobile_tag_indices(t2)
         for tag in set(idx1) & set(idx2):
-            need = len(idx1[tag]) + len(idx2[tag]) + 2
+            need = len(idx1[tag]) + len(idx2[tag]) + 2 + sum(
+                1 for v in t1.constant & t2.constant if v.tag == tag and v.is_mobile)
             for m1, m2 in itertools.product(idx1[tag], idx2[tag]):
-                shared = _solve_shared(t1.stride, m1, _block_range(k1),
-                                       t2.stride, m2, _block_range(k2), count=need)
+                shared = common_indices(t1.stride, m1, r1, t2.stride, m2, r2, need)
                 candidates.update(VertexId(tag, i) for i in shared)
 
     # 3) concrete candidates: statics, pinned vertices and unshifted mobiles
@@ -529,7 +496,11 @@ def verify(d: Decomposition) -> VerificationReport:
     counterexample (v, r, s, t) names the least failing vertex v among the
     candidates checked (one vertex stands for each shifted orbit) and three
     points r < s < t of the line with v in the bags at r and t but not in
-    the bag at s.  Finite segments cost one set sweep each, O(B) over the B
+    the bag at s.  The vertices two shifted segments share are checked a
+    few from each bounded end of every progression of common indices
+    (common_indices); two zeta segments bound them on neither side, and
+    then they are checked upward from the first segment's residue index.
+    Finite segments cost one set sweep each, O(B) over the B
     vertex slots of their bags.  Per-vertex checks, one lookup per segment,
     run only for gapped vertices, vertices of two explicit segments and
     vertices whose tag a periodic template holds; every other vertex is

@@ -95,13 +95,6 @@ def _flat_bags(d: Decomposition) -> list[Bag]:
     return out
 
 
-def _cut_index(line: Line, c: Cut) -> int:
-    """Number of points weakly below an offset cut of a finite line."""
-    assert c.position is CutPosition.AFTER_OFFSET
-    head = sum(line.segments[j].length for j in range(c.segment))
-    return head + c.offset + 1
-
-
 def _point_index(line: Line, p: Point) -> int:
     head = sum(line.segments[j].length for j in range(p.segment))
     return head + p.offset
@@ -145,11 +138,14 @@ def substitute(plan: SubstitutionPlan) -> Decomposition:
                 f"{sorted(clash)[:4]!r}")
         taken |= verts
         s = boundary_split(sk, c)
-        inserts[_cut_index(sk.line, c)] = tuple(b | s for b in _flat_bags(sub))
+        # c is an offset cut, since check_cut rejects both limit cuts on a
+        # finite line: the spliced bags follow the point at its offset
+        inserts[_point_index(sk.line, Point(c.segment, c.offset))] = tuple(
+            b | s for b in _flat_bags(sub))
     out: list[Bag] = []
     for i, b in enumerate(bags):
         out.append(b)
-        out.extend(inserts.get(i + 1, ()))
+        out.extend(inserts.get(i, ()))
     return Decomposition(Line.of(fin(len(out))), (ExplicitBags(tuple(out)),),
                          sk.z1, sk.z2)
 

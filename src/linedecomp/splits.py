@@ -43,6 +43,7 @@ from linedecomp.decomposition import (
     Side,
     boundary_split,
     boundary_splits,
+    common_indices,
     shift_set,
 )
 
@@ -57,10 +58,6 @@ class Split:
     def __post_init__(self):
         if not self.witness_cuts:
             raise ValueError("a split needs at least one witness cut")
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
 
 
 def split_at(d: Decomposition, cut: Cut) -> Split:
@@ -150,20 +147,6 @@ def _uniform_shift(a: Bag, b: Bag) -> Optional[int]:
     return delta if shift_set(a, delta) == b else None
 
 
-def _drifts_reach(a: int, b: int, delta: int) -> bool:
-    """Is a*i - b*j == delta for some blocks i, j >= 0?  a and b are
-    nonzero unless delta is 0."""
-    if delta == 0:
-        return True
-    if (a > 0) == (b > 0):
-        # i and j can both grow along the solution line a*i - b*j = delta
-        return delta % math.gcd(a, b) == 0
-    if (delta > 0) != (a > 0):
-        return False
-    delta, a, b = abs(delta), abs(a), abs(b)  # a*i + b*j == delta
-    return any((delta - b * j) % a == 0 for j in range(delta // b + 1))
-
-
 @dataclass(frozen=True)
 class SplitFamily:
     """One alignment class of splits beyond the window of an infinite reach:
@@ -178,9 +161,10 @@ class SplitFamily:
     part shifted by step * b (meets).  Two families share a split either
     where one's mobile part runs into the other's fixed part, at finitely
     many blocks found by divisibility, or with equal fixed parts and mobile
-    parts a uniform shift delta = step_a * i - step_b * j apart, i, j >= 0:
-    a gcd test for steps drifting the same way, a bounded search for steps
-    drifting apart (collides).  No block is sampled.
+    parts a uniform shift delta = step_a * i - step_b * j apart, i, j >= 0,
+    where the progressions {step_a * i} and {delta + step_b * j} meet
+    (common_indices; delta 0 meets at i = j = 0, also for the zero steps of
+    constant families).  No block is sampled.
     """
 
     segment: int
@@ -236,7 +220,8 @@ class SplitFamily:
         if self.fixed != other.fixed:
             return False
         delta = _uniform_shift(self.mobile, other.mobile)
-        return delta is not None and _drifts_reach(self.step, other.step, delta)
+        return delta == 0 or delta is not None and bool(common_indices(
+            self.step, 0, (0, None), other.step, delta, (0, None), 1))
 
 
 def _classify_deep(d: Decomposition, j: int, direction: int,

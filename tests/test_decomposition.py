@@ -49,6 +49,7 @@ from linedecomp.decomposition import (
     bag_of,
     boundary_split,
     boundary_splits,
+    common_indices,
     full_vertices,
     limit_vertices,
     remove_from_bags,
@@ -1088,6 +1089,9 @@ def _unshifted(p, *residues):
     return PeriodicBags(p, tuple(bag_of(*r) for r in residues), 0)
 
 
+_PINNED = frozenset(V("a", i) for i in [*range(10), *range(90, 100)])
+
+
 @pytest.mark.parametrize("d, v", [
     # v's last occurrence is the whole omega*, which has no offset 0
     (Decomposition(Line.of(fin(1), fin(1), omega_star()), (
@@ -1107,11 +1111,62 @@ def _unshifted(p, *residues):
     (Decomposition(Line.of(omega_star(), omega()), (
         PeriodicBags(1, (bag_of(("a", 100)),), 1),
         PeriodicBags(1, (bag_of(("a", 0)),), 1))), V("a", 0)),
-], ids=["omega*-end", "zeta-residue", "omega-residue", "residue-gap", "two-rays"])
+    # as above, with a_0 .. a_9 and a_90 .. a_99 pinned by both constants:
+    # they pass, so the window reaches past them to a_10
+    (Decomposition(Line.of(omega_star(), omega()), (
+        PeriodicBags(1, (bag_of(("a", 100)),), 1, _PINNED),
+        PeriodicBags(1, (bag_of(("a", 0)),), 1, _PINNED))), V("a", 10)),
+    # two zetas bound the common indices 4 + 6k on neither side: they are
+    # checked upward from the first zeta's residue index 0
+    (Decomposition(Line.of(zeta(), zeta()), (
+        PeriodicBags(1, (bag_of(("m", 0)),), 2),
+        PeriodicBags(1, (bag_of(("m", 1)),), 3))), V("m", 4)),
+    (Decomposition(Line.of(zeta(), zeta()), (
+        PeriodicBags(1, (bag_of(("m", 0)),), 1),
+        PeriodicBags(1, (bag_of(("m", 5)),), -1))), V("m", 0)),
+], ids=["omega*-end", "zeta-residue", "omega-residue", "residue-gap", "two-rays",
+        "two-rays-pinned", "two-zetas", "two-zetas-opposite"])
 def test_verify_names_a_sound_witness(d, v):
     rep = verify(d)
     assert rep.counterexample[0] == v
     assert_counterexample_sound(d, rep)
+
+
+_RANGES = [(0, None), (None, -1), (None, None)]
+
+
+def _brute_common(s1, m1, r1, s2, m2, r2, count, reach=1000):
+    """common_indices by enumerating every index within reach of 0: an end
+    of the common indices that runs past reach / 2 is taken to be open."""
+    def member(x, s, m, r):
+        b, rem = divmod(x - m, s)
+        return rem == 0 and (r[0] is None or b >= r[0]) and (r[1] is None or b <= r[1])
+
+    common = [x for x in range(-reach, reach + 1)
+              if member(x, s1, m1, r1) and member(x, s2, m2, r2)]
+    open_below = bool(common) and common[0] < -reach // 2
+    open_above = bool(common) and common[-1] > reach // 2
+    if open_below and open_above:
+        return [x for x in common if x >= m1][:count]
+    if open_above:
+        return common[:count]
+    if open_below:
+        return common[-count:]
+    if len(common) <= 2 * count:
+        return common
+    return common[:count] + common[-count:]
+
+
+_STRIDES = st.sampled_from([s for s in range(-6, 7) if s])
+
+
+@pytest.mark.parametrize("r1, r2", itertools.product(_RANGES, repeat=2))
+@settings(max_examples=60, deadline=None)
+@given(_STRIDES, st.integers(-20, 20), _STRIDES, st.integers(-20, 20),
+       st.integers(1, 5))
+def test_common_indices_match_enumeration(r1, r2, s1, m1, s2, m2, count):
+    assert (common_indices(s1, m1, r1, s2, m2, r2, count)
+            == _brute_common(s1, m1, r1, s2, m2, r2, count))
 
 
 # ---------------------------------------------------------------------------

@@ -257,3 +257,26 @@ def test_frozen_values_are_written_only_while_built():
     assert not reads, "\n".join(reads)
     _, own = _attribute_writes_and_fact_reads(SRC / "decomposition.py")
     assert own, "the lint no longer sees the remembered facts"
+
+
+def _python_floor() -> tuple[int, int]:
+    """The (major, minor) of pyproject.toml's requires-python lower bound."""
+    text = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)', text, re.M)
+    assert found, "pyproject.toml states no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+def test_every_module_parses_at_the_python_floor():
+    """Each module uses only syntax the oldest supported Python accepts, so
+    a newer form (an except* clause, say) cannot slip in under the newer
+    interpreter the tests run on."""
+    floor = _python_floor()
+    bad = []
+    for f in sorted(SRC.glob("*.py")):
+        try:
+            ast.parse(f.read_text(encoding="utf-8"), filename=str(f),
+                      feature_version=floor)
+        except SyntaxError as e:
+            bad.append(f"{f.name}:{e.lineno}: {e.msg}")
+    assert not bad, "\n".join(bad)

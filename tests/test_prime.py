@@ -176,6 +176,12 @@ def test_family_collision_rule():
     assert fam(1).collides(fam(1, base=7))
     # a mobile part running into the other family's fixed part
     assert SplitFamily(0, +1, 0, 1, 1, bag_of(("v", 5)), frozenset()).collides(fam(1))
+    # constant families (step 0) with equal fixed parts share their split
+    def constant(fixed):
+        return SplitFamily(0, +1, 0, 1, 0, bag_of(*fixed), frozenset())
+
+    assert constant("pq").collides(constant("pq"))
+    assert not constant("pq").collides(constant("pr"))
 
 
 # ---------------------------------------------------------------------------
